@@ -251,30 +251,14 @@ void headline_icp(bench::JsonReport& report) {
       bench::env_int("BCERT_ICP_BOXES", 20000));
   config.time_limit_s = 300.0;
 
-  // Scalar baseline: one box at a time, the classic frontier.
+  // Sequential baseline.
   config.threads = 1;
-  config.batch_size = 1;
   smt::IcpResult seq;
   const double seq_s = wall_of([&] {
     seq = smt::IcpSolver(pool, config).solve(c, box);
   });
   report.add({"icp_branch_and_prune_seq", seq_s,
               static_cast<double>(seq.stats.boxes_processed) / seq_s});
-
-  // Batched frontier (structure-of-arrays tape sweeps, default width).
-  // The gated icp_branch_and_prune_batch:speedup ratio tracks batching
-  // on the same machine, same budget, same thread count.
-  config.batch_size = 0;  // auto (BCERT_ICP_BATCH, default 8)
-  smt::IcpResult bat;
-  const double bat_s = wall_of([&] {
-    bat = smt::IcpSolver(pool, config).solve(c, box);
-  });
-  bench::BenchRecord batch;
-  batch.name = "icp_branch_and_prune_batch";
-  batch.wall_time_s = bat_s;
-  batch.boxes_per_sec = static_cast<double>(bat.stats.boxes_processed) / bat_s;
-  batch.speedup = seq_s / bat_s;
-  report.add(batch);
 
   config.threads = static_cast<int>(parallel::default_thread_count());
   smt::IcpResult par;
@@ -287,11 +271,9 @@ void headline_icp(bench::JsonReport& report) {
   r.boxes_per_sec = static_cast<double>(par.stats.boxes_processed) / par_s;
   r.speedup = seq_s / par_s;
   report.add(r);
-  std::printf("headline icp: scalar %.3fs, batched %.3fs (%.2fx, %s), "
-              "parallel %.3fs (%d threads, %.2fx)\n",
-              seq_s, bat_s, batch.speedup,
-              smt::simd_tier_name(smt::resolve_simd_tier()), par_s,
-              config.threads, r.speedup);
+  std::printf("headline icp: sequential %.3fs, parallel %.3fs (%d threads, "
+              "%.2fx)\n",
+              seq_s, par_s, config.threads, r.speedup);
 }
 
 /// Warm-vs-cold ICP over a verifier-shaped candidate sequence: the same

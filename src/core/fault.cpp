@@ -42,8 +42,6 @@ const char* fault_point_name(FaultPoint p) {
       return "lp_solve";
     case FaultPoint::kCacheLookup:
       return "cache_lookup";
-    case FaultPoint::kSimdDispatch:
-      return "simd_dispatch";
     case FaultPoint::kWorkerDispatch:
       return "worker_dispatch";
     case FaultPoint::kAlloc:

@@ -16,8 +16,8 @@
 ///    Nth. Two flavors of site exist: `check()` sites *act* (throw a
 ///    `FaultInjected`, or sleep for `delay=` faults) and `trip()` sites
 ///    merely *report* that a fault fired so the surrounding code can walk
-///    down its degradation ladder (tape → tree, AVX2 → SSE2 → scalar,
-///    warm cache → cold start).
+///    down its degradation ladder (jit → tape → tree, warm cache → cold
+///    start).
 ///
 ///  * `MemoryBudget` — per-job byte accounting with a quota. The ICP
 ///    frontier and the UNSAT-tree recorder charge their growth against
@@ -92,7 +92,6 @@ enum class FaultPoint : std::uint8_t {
   kLpPivot,          ///< simplex pivot loop (check)
   kLpSolve,          ///< solve_lp entry (check)
   kCacheLookup,      ///< tape / UNSAT-tree cache probe (trip: cold start)
-  kSimdDispatch,     ///< batched sweep tier dispatch (trip: downgrade)
   kWorkerDispatch,   ///< Engine job entry on a pool worker (check)
   kAlloc,            ///< MemoryBudget charge (trip: forced charge failure)
   kCacheSerialize,   ///< warm-state snapshot encode/write (check: the
@@ -228,14 +227,13 @@ class MemoryBudget {
 struct DegradationReport {
   std::uint32_t jit_to_tape = 0;     ///< JIT emission failed → tape HC4
   std::uint32_t tape_to_tree = 0;    ///< tape compile failed → tree HC4
-  std::uint32_t simd_downgrade = 0;  ///< batched tier walked down a rung
   std::uint32_t cache_cold = 0;      ///< cache entry dropped → cold start
   std::uint32_t lp_cold = 0;         ///< warm basis rejected → cold solve
   std::uint32_t retries = 0;         ///< campaign-level retry attempts
 
   bool any() const {
-    return (jit_to_tape | tape_to_tree | simd_downgrade | cache_cold |
-            lp_cold | retries) != 0;
+    return (jit_to_tape | tape_to_tree | cache_cold | lp_cold | retries) !=
+           0;
   }
 };
 
@@ -244,7 +242,6 @@ struct DegradationReport {
 struct DegradationCounters {
   std::atomic<std::uint32_t> jit_to_tape{0};
   std::atomic<std::uint32_t> tape_to_tree{0};
-  std::atomic<std::uint32_t> simd_downgrade{0};
   std::atomic<std::uint32_t> cache_cold{0};
   std::atomic<std::uint32_t> lp_cold{0};
 
@@ -252,7 +249,6 @@ struct DegradationCounters {
     DegradationReport r;
     r.jit_to_tape = jit_to_tape.load(std::memory_order_relaxed);
     r.tape_to_tree = tape_to_tree.load(std::memory_order_relaxed);
-    r.simd_downgrade = simd_downgrade.load(std::memory_order_relaxed);
     r.cache_cold = cache_cold.load(std::memory_order_relaxed);
     r.lp_cold = lp_cold.load(std::memory_order_relaxed);
     return r;

@@ -509,7 +509,6 @@ VerifyResult BarrierPipeline<Form>::run(PipelineHooks hooks) {
   hooks_ = std::move(hooks);
   degrade_.jit_to_tape.store(0, std::memory_order_relaxed);
   degrade_.tape_to_tree.store(0, std::memory_order_relaxed);
-  degrade_.simd_downgrade.store(0, std::memory_order_relaxed);
   degrade_.cache_cold.store(0, std::memory_order_relaxed);
   degrade_.lp_cold.store(0, std::memory_order_relaxed);
 

@@ -276,7 +276,7 @@ class BarrierPipeline {
   TemplateSpec spec_;
   typename Traits::Context context_;
   PipelineHooks hooks_;  ///< live during run(); defaults otherwise
-  /// Per-run fallback tallies (tape→tree, SIMD downgrade, cold starts),
+  /// Per-run fallback tallies (jit→tape, tape→tree, cold starts),
   /// shared with the ICP workers via IcpConfig::degrade. Mutable: the
   /// const query helpers hand out a non-const pointer.
   mutable DegradationCounters degrade_;

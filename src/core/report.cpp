@@ -184,7 +184,6 @@ void write_result_json(std::ostream& os, const VerifyResult& result) {
   const DegradationReport& d = result.degradation;
   os << "\"degradation\": {\"jit_to_tape\": " << d.jit_to_tape
      << ", \"tape_to_tree\": " << d.tape_to_tree
-     << ", \"simd_downgrade\": " << d.simd_downgrade
      << ", \"cache_cold\": " << d.cache_cold << ", \"lp_cold\": " << d.lp_cold
      << ", \"retries\": " << d.retries << "}, ";
   const VerifyTimings& t = result.timings;

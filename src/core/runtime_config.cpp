@@ -106,13 +106,12 @@ bool parse_non_negative_double(const char* text, double& value) {
 }
 
 /// `BCERT_*` variables this library (src/) and its benches understand.
-/// from_env() parses the first six; the rest are read by the bench
-/// executables through bench::env_int and listed here only so a bench
-/// run does not trip the unknown-variable warning.
+/// from_env() parses the library and daemon knobs; the rest are read by
+/// the bench executables through bench::env_int and listed here only so
+/// a bench run does not trip the unknown-variable warning.
 constexpr const char* kKnownVars[] = {
-    "BCERT_THREADS", "BCERT_ICP_BATCH", "BCERT_ICP_WARM", "BCERT_LP_WARM",
-    "BCERT_HC4_MODE", "BCERT_ICP_SIMD", "BCERT_FAULT", "BCERT_MEM_QUOTA",
-    "BCERT_JIT_DUMP",
+    "BCERT_THREADS", "BCERT_ICP_WARM", "BCERT_LP_WARM", "BCERT_HC4_MODE",
+    "BCERT_FAULT", "BCERT_MEM_QUOTA", "BCERT_JIT_DUMP",
     // bcertd daemon knobs (src/daemon)
     "BCERT_DAEMON_SOCKET", "BCERT_STATE_DIR", "BCERT_SNAPSHOT_S",
     "BCERT_LOG_LEVEL",
@@ -170,12 +169,6 @@ RuntimeConfig RuntimeConfig::from_env(std::vector<std::string>* warnings) {
                 "\" is not a positive integer; using hardware concurrency");
     }
   }
-  if (const char* v = std::getenv("BCERT_ICP_BATCH")) {
-    if (!parse_positive_int(v, 1 << 20, config.icp_batch)) {
-      sink.warn(std::string("BCERT_ICP_BATCH=\"") + v +
-                "\" is not a positive integer; using the default batch");
-    }
-  }
   if (const char* v = std::getenv("BCERT_ICP_WARM")) {
     if (!parse_toggle(v, config.icp_warm)) {
       config.icp_warm = ConfigToggle::kOn;  // legacy: anything else enables
@@ -212,19 +205,6 @@ RuntimeConfig RuntimeConfig::from_env(std::vector<std::string>* warnings) {
       config.jit_dump = true;  // a set-but-odd value still means "dump"
       sink.warn(std::string("BCERT_JIT_DUMP=\"") + v +
                 "\" (expected 0/off/false or 1/on/true); treating as on");
-    }
-  }
-  if (const char* v = std::getenv("BCERT_ICP_SIMD")) {
-    if (std::strcmp(v, "avx2") == 0) {
-      config.icp_simd = ConfigSimd::kAvx2;
-    } else if (std::strcmp(v, "sse2") == 0) {
-      config.icp_simd = ConfigSimd::kSse2;
-    } else if (std::strcmp(v, "scalar") == 0) {
-      config.icp_simd = ConfigSimd::kScalar;
-    } else {
-      sink.warn(std::string("unrecognized BCERT_ICP_SIMD=\"") + v +
-                "\" (expected \"avx2\", \"sse2\" or \"scalar\"); using the "
-                "best available tier");
     }
   }
 

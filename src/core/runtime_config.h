@@ -4,10 +4,10 @@
 /// every `BCERT_*` environment knob that tunes the library's runtime
 /// behavior.
 ///
-/// Before this existed, six call sites (`thread_pool.cpp`,
-/// `icp_solver.cpp` ×2, `hc4.cpp`, `tape_batch.cpp`, `lp_synthesis.cpp`)
-/// each re-implemented `getenv` + ad-hoc parsing; a malformed value such
-/// as `BCERT_ICP_BATCH=abc` was silently ignored (or worse, fed through
+/// Before this existed, several call sites (`thread_pool.cpp`,
+/// `icp_solver.cpp`, `hc4.cpp`, `lp_synthesis.cpp`) each re-implemented
+/// `getenv` + ad-hoc parsing; a malformed value such as
+/// `BCERT_THREADS=abc` was silently ignored (or worse, fed through
 /// `atoi`). Now:
 ///
 ///  * `RuntimeConfig::from_env()` parses the environment **once**, with
@@ -18,9 +18,8 @@
 ///    `BCERT_ICP_BACTH`) are reported too.
 ///  * `RuntimeConfig::active()` is the lazily-initialized process-wide
 ///    instance every resolver consults
-///    (`parallel::default_thread_count`, `smt::resolve_icp_batch`,
-///    `smt::icp_warm_enabled`, `smt::resolve_hc4_mode`,
-///    `smt::resolve_simd_tier`, `core::lp_warm_start_enabled`).
+///    (`parallel::default_thread_count`, `smt::icp_warm_enabled`,
+///    `smt::resolve_hc4_mode`, `core::lp_warm_start_enabled`).
 ///  * Every field is overridable programmatically via
 ///    `RuntimeConfig::set_active()` — embedding applications configure
 ///    the library through this struct instead of mutating their own
@@ -46,11 +45,6 @@ enum class ConfigToggle : std::uint8_t { kAuto, kOn, kOff };
 /// counted as `jit_to_tape`) when emission is unavailable.
 enum class ConfigHc4Mode : std::uint8_t { kTape, kTree, kJit };
 
-/// SIMD tier request for the batched tape sweeps (`BCERT_ICP_SIMD`).
-/// `kAuto` picks the best tier available on this build/CPU; an explicit
-/// request that is unavailable falls back with a warning (in smt).
-enum class ConfigSimd : std::uint8_t { kAuto, kAvx2, kSse2, kScalar };
-
 /// Structured-log severity threshold of the `bcertd` daemon
 /// (`BCERT_LOG_LEVEL`). Messages below the threshold are dropped.
 enum class ConfigLogLevel : std::uint8_t { kError, kWarn, kInfo, kDebug };
@@ -64,11 +58,6 @@ struct RuntimeConfig {
   /// `threads = 0` auto knob. 0 = hardware concurrency.
   /// Env: `BCERT_THREADS` (positive integer).
   int threads = 0;
-
-  /// ICP frontier batch width; 0 = library default (8), 1 = scalar
-  /// frontier. Env: `BCERT_ICP_BATCH` (positive integer; clamped to
-  /// 1024 by the solver).
-  int icp_batch = 0;
 
   /// UNSAT-tree ICP warm-starting override. Env: `BCERT_ICP_WARM`
   /// (`0`/`off`/`false` → kOff, `1`/`on`/`true` → kOn).
@@ -86,10 +75,6 @@ struct RuntimeConfig {
   /// the IR after every optimization pass to stderr (miscompile
   /// debugging). Env: `BCERT_JIT_DUMP` (`0`/`1`/`on`/`off`).
   bool jit_dump = false;
-
-  /// SIMD tier of the batched tape sweeps. Env: `BCERT_ICP_SIMD`
-  /// (`avx2`, `sse2` or `scalar`).
-  ConfigSimd icp_simd = ConfigSimd::kAuto;
 
   /// Deterministic fault-injection spec installed into the process-wide
   /// `FaultRegistry` when this config becomes active (see

@@ -192,7 +192,7 @@ struct VerifyResult {
   /// every analytic outcome.
   Status error;
   /// Degradation-ladder decisions taken while producing this result
-  /// (tape→tree, SIMD downgrades, cold starts, LP cold solves, campaign
+  /// (jit→tape, tape→tree, cold starts, LP cold solves, campaign
   /// retries). All-zero on a clean run.
   DegradationReport degradation;
 

@@ -701,7 +701,6 @@ void Server::finish_job(Job& job, core::VerifyResult result) {
     stats_.phase_totals.accumulate(r.timings);
     stats_.degradation.jit_to_tape += r.degradation.jit_to_tape;
     stats_.degradation.tape_to_tree += r.degradation.tape_to_tree;
-    stats_.degradation.simd_downgrade += r.degradation.simd_downgrade;
     stats_.degradation.cache_cold += r.degradation.cache_cold;
     stats_.degradation.lp_cold += r.degradation.lp_cold;
     stats_.degradation.retries += r.degradation.retries;
@@ -884,7 +883,6 @@ std::string Server::stats_json(const std::string& req_id) const {
   const core::DegradationReport& d = s.degradation;
   json += ",\"degradation\":{\"jit_to_tape\":" + u64_str(d.jit_to_tape);
   json += ",\"tape_to_tree\":" + u64_str(d.tape_to_tree);
-  json += ",\"simd_downgrade\":" + u64_str(d.simd_downgrade);
   json += ",\"cache_cold\":" + u64_str(d.cache_cold);
   json += ",\"lp_cold\":" + u64_str(d.lp_cold);
   json += ",\"retries\":" + u64_str(d.retries) + "}";

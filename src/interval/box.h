@@ -48,9 +48,9 @@ class Box {
 
   /// Index of the widest dimension (0 when dimensionless). Ties break
   /// stably to the *lowest* dimension index — part of the ICP frontier's
-  /// exploration-order contract: scalar and batched branch-and-prune both
-  /// split the same dimension of the same box, so their search trees are
-  /// reproducible at any batch width or thread count.
+  /// exploration-order contract: every HC4 backend and thread count
+  /// splits the same dimension of the same box, so search trees are
+  /// reproducible.
   std::size_t widest_dim() const;
 
   /// Component-wise midpoint.

@@ -201,7 +201,6 @@ DifferentialReport run_differential(const expr::ExprPool& pool,
   // the identical search tree regardless of machine load.
   base.time_limit_s = 1e9;
   base.threads = 1;
-  base.batch_size = 1;
   base.warm_start = false;
 
   smt::IcpConfig tape_config = base;

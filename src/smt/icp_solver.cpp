@@ -4,25 +4,22 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "src/core/fault.h"
 #include "src/core/runtime_config.h"
-#include "src/interval/box_batch.h"
 #include "src/parallel/thread_pool.h"
 
 namespace bcert::smt {
 
 using clock = std::chrono::steady_clock;
 using interval::Box;
-using interval::BoxBatch;
 using interval::Interval;
 
 const char* sat_result_name(SatResult r) {
@@ -40,17 +37,6 @@ linalg::Vector IcpResult::witness_point() const {
     throw std::logic_error("IcpResult::witness_point: no witness");
   }
   return witness->midpoint();
-}
-
-int resolve_icp_batch(int requested) {
-  // Clamp both the config and RuntimeConfig paths: every worker sizes a
-  // BoxBatch and a batch register file by this, so an absurd width is
-  // an OOM.
-  static constexpr int kMaxBatch = 1024;
-  if (requested > 0) return std::min(requested, kMaxBatch);
-  const int configured = core::RuntimeConfig::active().icp_batch;
-  if (configured > 0) return std::min(configured, kMaxBatch);
-  return 8;
 }
 
 bool icp_warm_enabled(const IcpConfig& config) {
@@ -406,96 +392,26 @@ class QueryContext {
   bool warm_ = false;
 };
 
-/// Contraction engine of one worker: either the batched tape sweeps over
-/// a sibling group (structure-of-arrays lanes) or a scalar contractor.
-/// batch_size = 1 and tree mode both take the scalar path, which is the
-/// exact legacy hot loop (contract_fixpoint + cached
-/// certainly_satisfied); every lane of the batched path is bit-identical
-/// to that loop by the tape batch contract.
-class BatchContractor {
- public:
-  BatchContractor(const ContractorSpec& spec, const IcpConfig& config,
-                  std::size_t dims, int batch)
-      : passes_(config.hc4_passes),
-        ratio_(config.hc4_improvement),
-        degrade_(config.degrade) {
-    if (spec.tape != nullptr && batch > 1) {
-      tape_ = spec.tape;
-      tier_ = resolve_simd_tier();
-      boxes_ = BoxBatch(dims, static_cast<std::size_t>(batch));
-      regs_ = tape_->make_batch_registers(static_cast<std::size_t>(batch));
-    } else {
-      scalar_.emplace(spec.make());
-    }
-  }
-
-  /// Contracts items[0..k) in place and fills out[0..k).
-  void contract(std::vector<WorkItem>& items, std::size_t k,
-                std::vector<Hc4Tape::LaneOutcome>& out) {
-    out.resize(k);
-    if (tape_ != nullptr) {
-      // Ladder rung: a tripped simd_dispatch fault walks this worker
-      // down one tier (AVX2 → SSE2 → scalar) for the rest of the query.
-      // Sound and invisible in results — every tier is bit-identical
-      // per lane by the tape batch contract.
-      if (core::FaultRegistry::trip(core::FaultPoint::kSimdDispatch) &&
-          tier_ != SimdTier::kScalar) {
-        tier_ = tier_ == SimdTier::kAvx2 ? SimdTier::kSse2 : SimdTier::kScalar;
-        if (degrade_ != nullptr) {
-          degrade_->simd_downgrade.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      boxes_.clear();
-      for (std::size_t i = 0; i < k; ++i) boxes_.push_back(items[i].box);
-      tape_->contract_fixpoint_batch(boxes_, regs_, passes_, ratio_,
-                                     out.data(), tier_);
-      for (std::size_t i = 0; i < k; ++i) {
-        if (out[i].result != ContractResult::kEmpty) {
-          items[i].box = boxes_.box(i);
-        }
-      }
-      return;
-    }
-    for (std::size_t i = 0; i < k; ++i) {
-      const ContractResult r =
-          scalar_->contract_fixpoint(items[i].box, passes_, ratio_);
-      out[i].result = r;
-      out[i].satisfied = r != ContractResult::kEmpty &&
-                         !items[i].box.is_empty() &&
-                         scalar_->certainly_satisfied(items[i].box);
-    }
-  }
-
- private:
-  int passes_;
-  double ratio_;
-  core::DegradationCounters* degrade_;
-  std::shared_ptr<const Hc4Tape> tape_;
-  SimdTier tier_ = SimdTier::kScalar;
-  BoxBatch boxes_;
-  Hc4Tape::BatchRegisters regs_;
-  std::optional<Hc4Contractor> scalar_;
-};
-
-/// Settles one contracted work item — prune / report SAT / report δ-SAT
-/// / split-and-record — appending surviving children to \p children.
-/// Returns false when a (δ-)SAT was reported and the caller must stop.
-/// One shared body keeps the sequential and parallel frontiers
-/// bit-identical per box (the "batch_size = 1 equals the scalar seed
-/// algorithm" contract lives here).
-bool settle_item(WorkItem& it, const Hc4Tape::LaneOutcome& oc,
-                 const IcpConfig& config, TreeRecorder* rec,
-                 SharedOutcome& outcome, parallel::CancellationToken& cancel,
-                 IcpStats& stats,
-                 std::vector<std::pair<WorkItem, WorkItem>>& children) {
-  if (oc.result == ContractResult::kEmpty || it.box.is_empty()) {
+/// Contracts one popped work item, then settles it — prune / report SAT /
+/// report δ-SAT / split-and-record — leaving a split's children (left,
+/// right) in \p children. Returns false when a (δ-)SAT was reported and
+/// the caller must stop. One shared body keeps the sequential and
+/// parallel frontiers bit-identical per box.
+bool settle_item(WorkItem& it, Hc4Contractor& hc4, const IcpConfig& config,
+                 TreeRecorder* rec, SharedOutcome& outcome,
+                 parallel::CancellationToken& cancel, IcpStats& stats,
+                 std::optional<std::pair<WorkItem, WorkItem>>& children) {
+  children.reset();
+  const ContractResult contracted = hc4.contract_fixpoint(
+      it.box, config.hc4_passes, config.hc4_improvement);
+  if (contracted == ContractResult::kEmpty || it.box.is_empty()) {
     ++stats.boxes_pruned;
     return true;
   }
   stats.max_depth_width = std::min(stats.max_depth_width, it.box.max_width());
 
   // True SAT: constraints certainly hold over the whole surviving box.
-  if (oc.satisfied) {
+  if (hc4.certainly_satisfied(it.box)) {
     outcome.report_sat(SatResult::kSat, std::move(it.box), cancel);
     return false;
   }
@@ -513,25 +429,24 @@ bool settle_item(WorkItem& it, const Hc4Tape::LaneOutcome& oc,
       rec != nullptr
           ? rec->record_split(it.node, static_cast<std::uint32_t>(dim), mid)
           : std::pair<std::uint32_t, std::uint32_t>{0, 0};
-  children.emplace_back(WorkItem{std::move(left), ids.first},
-                        WorkItem{std::move(right), ids.second});
+  children.emplace(WorkItem{std::move(left), ids.first},
+                   WorkItem{std::move(right), ids.second});
   return true;
 }
 
-/// Depth-first branch-and-prune over one conjunction, popping and
-/// contracting up to `batch` sibling boxes per round (see the
-/// exploration-order contract in icp_solver.h). With batch = 1 and a
-/// fresh budget/token this is exactly the sequential seed algorithm —
-/// same exploration order, same witness, same statistics.
+/// Depth-first branch-and-prune over one conjunction, one box at a time
+/// (see the exploration-order contract in icp_solver.h). With a fresh
+/// budget/token this is exactly the sequential seed algorithm — same
+/// exploration order, same witness, same statistics.
 void solve_sequential(const ContractorSpec& spec, std::vector<WorkItem> seeds,
-                      const IcpConfig& config, int batch, TreeRecorder* rec,
+                      const IcpConfig& config, TreeRecorder* rec,
                       double root_width, SharedBudget& budget,
                       SharedOutcome& outcome,
                       parallel::CancellationToken& cancel, IcpStats& stats) {
   stats.max_depth_width = root_width;
   if (seeds.empty()) return;
   const std::size_t dims = seeds.front().box.size();
-  BatchContractor engine(spec, config, dims, batch);
+  Hc4Contractor hc4 = spec.make();
 
   // Resource governor: the DFS stack's growth is charged per box (the
   // dominant term — each WorkItem owns dims intervals). A refused
@@ -543,78 +458,56 @@ void solve_sequential(const ContractorSpec& spec, std::vector<WorkItem> seeds,
   const auto release_frontier = [&](std::size_t boxes) {
     if (mem != nullptr && boxes > 0) mem->release(boxes * box_bytes);
   };
-
-  // DFS work stack (back = deepest): depth-first finds witnesses fast
-  // and keeps memory bounded by (depth × dimension + batch).
-  std::vector<WorkItem> work = std::move(seeds);
-  if (mem != nullptr && !mem->try_charge(work.size() * box_bytes)) {
+  const auto wind_down = [&] {
     outcome.exhausted.store(true, std::memory_order_release);
     cancel.cancel();
+  };
+
+  // DFS work stack (back = deepest): depth-first finds witnesses fast
+  // and keeps memory bounded by depth × dimension.
+  std::vector<WorkItem> work = std::move(seeds);
+  if (mem != nullptr && !mem->try_charge(work.size() * box_bytes)) {
+    wind_down();
     return;
   }
-  const auto want = static_cast<std::size_t>(batch);
-  std::vector<WorkItem> items(want);
-  std::vector<Hc4Tape::LaneOutcome> outcomes;
-  std::vector<std::pair<WorkItem, WorkItem>> children;
+  std::optional<std::pair<WorkItem, WorkItem>> children;
 
   while (!work.empty()) {
     if (cancel.cancelled()) {
       release_frontier(work.size());
       return;
     }
-    const std::size_t k = std::min(want, work.size());
-    for (std::size_t i = 0; i < k; ++i) {
-      items[i] = std::move(work.back());
-      work.pop_back();
-    }
-    release_frontier(k);
-    std::size_t admitted = 0;
-    bool exhausted = false;
-    for (; admitted < k; ++admitted) {
-      if (!budget.admit_box()) {
-        exhausted = true;
-        break;
-      }
-    }
-    stats.boxes_processed += admitted;
-    if (admitted > 0) engine.contract(items, admitted, outcomes);
-
-    children.clear();
-    for (std::size_t i = 0; i < admitted; ++i) {
-      if (!settle_item(items[i], outcomes[i], config, rec, outcome, cancel,
-                       stats, children)) {
-        release_frontier(work.size());
-        return;  // (δ-)SAT reported
-      }
-    }
-    if (mem != nullptr && !children.empty() &&
-        !mem->try_charge(2 * children.size() * box_bytes)) {
+    WorkItem item = std::move(work.back());
+    work.pop_back();
+    release_frontier(1);
+    if (!budget.admit_box()) {
       release_frontier(work.size());
-      outcome.exhausted.store(true, std::memory_order_release);
-      cancel.cancel();
+      wind_down();
       return;
     }
-    // Surviving children go back in reverse pop order, so the deepest
-    // box's children surface first (DFS; exact seed order at batch 1).
-    for (auto it = children.rbegin(); it != children.rend(); ++it) {
-      work.push_back(std::move(it->first));
-      work.push_back(std::move(it->second));
-    }
-    if (exhausted) {
+    ++stats.boxes_processed;
+    if (!settle_item(item, hc4, config, rec, outcome, cancel, stats,
+                     children)) {
       release_frontier(work.size());
-      outcome.exhausted.store(true, std::memory_order_release);
-      cancel.cancel();
+      return;  // (δ-)SAT reported
+    }
+    if (!children) continue;
+    if (mem != nullptr && !mem->try_charge(2 * box_bytes)) {
+      release_frontier(work.size());
+      wind_down();
       return;
     }
+    // Left then right: the right child surfaces first.
+    work.push_back(std::move(children->first));
+    work.push_back(std::move(children->second));
   }
 }
 
-/// Work-sharing frontier: one shard per worker. Owners push/pop batches
-/// at the back of their shard (depth-first, cache-friendly); idle
-/// workers steal a whole *chunk* — up to a batch, at most half the
-/// victim's shard — from the front of a victim shard, which holds the
-/// shallowest (largest) subproblems, so one steal transfers a big slice
-/// of the search tree and immediately fills the thief's batch lanes.
+/// Work-sharing frontier: one shard per worker. Owners push and pop at
+/// the back of their shard (depth-first, cache-friendly); idle workers
+/// steal from the front of a victim shard, which holds the shallowest
+/// (largest) subproblems, so one steal transfers a big slice of the
+/// search tree.
 struct Frontier {
   struct alignas(64) Shard {
     std::mutex m;
@@ -632,55 +525,45 @@ struct Frontier {
     shards[w].stack.push_back(std::move(item));
   }
 
-  /// Pushes a whole round's surviving children under one lock, in
-  /// reverse pair order (left then right per pair), so the deepest
-  /// parent's children end on top — the documented exploration order.
-  void push_children(std::size_t w,
-                     std::vector<std::pair<WorkItem, WorkItem>>& children) {
+  /// Pushes a split's children under one lock, left then right, so the
+  /// right child ends on top — the documented exploration order.
+  void push_children(std::size_t w, std::pair<WorkItem, WorkItem>& children) {
     std::lock_guard<std::mutex> lock(shards[w].m);
-    for (auto it = children.rbegin(); it != children.rend(); ++it) {
-      shards[w].stack.push_back(std::move(it->first));
-      shards[w].stack.push_back(std::move(it->second));
-    }
+    shards[w].stack.push_back(std::move(children.first));
+    shards[w].stack.push_back(std::move(children.second));
   }
 
-  /// Pops up to \p want items into \p out (out[0] = deepest of the run).
-  std::size_t pop_batch(std::size_t w, std::size_t want,
-                        std::vector<WorkItem>& out) {
+  /// Pops the deepest box of shard \p w into \p out, else steals the
+  /// shallowest box of the first nonempty victim shard. False when every
+  /// shard is empty.
+  bool pop(std::size_t w, WorkItem& out) {
     {
       Shard& own = shards[w];
       std::lock_guard<std::mutex> lock(own.m);
       if (!own.stack.empty()) {
-        const std::size_t k = std::min(want, own.stack.size());
-        for (std::size_t i = 0; i < k; ++i) {
-          out[i] = std::move(own.stack.back());
-          own.stack.pop_back();
-        }
-        return k;
+        out = std::move(own.stack.back());
+        own.stack.pop_back();
+        return true;
       }
     }
     for (std::size_t j = 1; j < shards.size(); ++j) {
       Shard& victim = shards[(w + j) % shards.size()];
       std::lock_guard<std::mutex> lock(victim.m);
       if (victim.stack.empty()) continue;
-      const std::size_t k =
-          std::min(want, (victim.stack.size() + 1) / 2);
-      for (std::size_t i = 0; i < k; ++i) {
-        out[i] = std::move(victim.stack.front());
-        victim.stack.pop_front();
-      }
-      return k;
+      out = std::move(victim.stack.front());
+      victim.stack.pop_front();
+      return true;
     }
-    return 0;
+    return false;
   }
 };
 
 /// Parallel branch-and-prune: the frontier is shared, every worker runs
-/// its own batch engine (contraction keeps mutable per-lane scratch),
-/// and the first (δ-)SAT box cancels everyone.
+/// its own HC4 contractor (contraction keeps mutable scratch), and the
+/// first (δ-)SAT box cancels everyone.
 void solve_parallel(const ContractorSpec& spec, std::vector<WorkItem> seeds,
                     std::size_t dims, const IcpConfig& config, int workers,
-                    int batch, TreeRecorder* rec, double root_width,
+                    TreeRecorder* rec, double root_width,
                     SharedBudget& budget, SharedOutcome& outcome,
                     parallel::CancellationToken& cancel,
                     IcpStats& merged_stats) {
@@ -709,17 +592,14 @@ void solve_parallel(const ContractorSpec& spec, std::vector<WorkItem> seeds,
   pool_of(config).run_on_workers(
       static_cast<std::size_t>(workers), [&](std::size_t w) {
         try {
-        BatchContractor engine(spec, config, dims, batch);
+        Hc4Contractor hc4 = spec.make();
         IcpStats& stats = worker_stats[w];
-        const auto want = static_cast<std::size_t>(batch);
-        std::vector<WorkItem> items(want);
-        std::vector<Hc4Tape::LaneOutcome> outcomes;
-        std::vector<std::pair<WorkItem, WorkItem>> children;
+        WorkItem item;
+        std::optional<std::pair<WorkItem, WorkItem>> children;
         int idle_spins = 0;
 
         while (!cancel.cancelled()) {
-          const std::size_t k = frontier.pop_batch(w, want, items);
-          if (k == 0) {
+          if (!frontier.pop(w, item)) {
             if (frontier.in_flight.load(std::memory_order_acquire) <= 0) {
               return;  // frontier drained: UNSAT
             }
@@ -729,42 +609,29 @@ void solve_parallel(const ContractorSpec& spec, std::vector<WorkItem> seeds,
             continue;
           }
           idle_spins = 0;
-          if (mem != nullptr) mem->release(k * box_bytes);
+          if (mem != nullptr) mem->release(box_bytes);
 
-          std::size_t admitted = 0;
-          bool exhausted = false;
-          for (; admitted < k; ++admitted) {
-            if (!budget.admit_box()) {
-              exhausted = true;
-              break;
-            }
-          }
-          stats.boxes_processed += admitted;
-          if (admitted > 0) engine.contract(items, admitted, outcomes);
-
-          children.clear();
+          bool exhausted = !budget.admit_box();
           bool reported = false;
-          for (std::size_t i = 0; i < admitted && !reported; ++i) {
-            reported = !settle_item(items[i], outcomes[i], config, rec,
-                                    outcome, cancel, stats, children);
+          children.reset();
+          if (!exhausted) {
+            ++stats.boxes_processed;
+            reported = !settle_item(item, hc4, config, rec, outcome, cancel,
+                                    stats, children);
           }
 
-          if (!reported && !exhausted && !children.empty()) {
-            if (mem != nullptr &&
-                !mem->try_charge(2 * children.size() * box_bytes)) {
+          if (children) {
+            if (mem != nullptr && !mem->try_charge(2 * box_bytes)) {
               exhausted = true;
             } else {
-              // Children replace their parents: publish the increment
+              // Children replace their parent: publish the increment
               // before pushing so peers never observe a transient zero,
-              // then retire the popped batch in one decrement below.
-              frontier.in_flight.fetch_add(
-                  static_cast<std::int64_t>(2 * children.size()),
-                  std::memory_order_acq_rel);
-              frontier.push_children(w, children);
+              // then retire the parent below.
+              frontier.in_flight.fetch_add(2, std::memory_order_acq_rel);
+              frontier.push_children(w, *children);
             }
           }
-          frontier.in_flight.fetch_sub(static_cast<std::int64_t>(k),
-                                       std::memory_order_acq_rel);
+          frontier.in_flight.fetch_sub(1, std::memory_order_acq_rel);
           if (reported) return;
           if (exhausted) {
             outcome.exhausted.store(true, std::memory_order_release);
@@ -775,7 +642,7 @@ void solve_parallel(const ContractorSpec& spec, std::vector<WorkItem> seeds,
         } catch (...) {
           // Job isolation: an exception on one worker (e.g. an injected
           // hc4_backward fault) must not strand its peers — they spin on
-          // in_flight, which this worker's popped boxes keep nonzero.
+          // in_flight, which this worker's popped box keeps nonzero.
           // Cancel everyone, then let run_on_workers rethrow after all
           // strands retired.
           cancel.cancel();
@@ -836,7 +703,6 @@ IcpResult IcpSolver::solve(const Conjunction& conjunction,
 
   const ContractorSpec spec(*pool_, conjunction, config_);
   const int threads = parallel::resolve_thread_count(config_.threads);
-  const int batch = resolve_icp_batch(config_.batch_size);
 
   QueryContext ctx(*pool_, conjunction, box, config_);
   if (ctx.warm_started()) ++stats.warm_starts;
@@ -844,13 +710,13 @@ IcpResult IcpSolver::solve(const Conjunction& conjunction,
 
   if (threads <= 1 || seeds.empty()) {
     IcpStats seq_stats;
-    solve_sequential(spec, std::move(seeds), config_, batch, ctx.recorder(),
+    solve_sequential(spec, std::move(seeds), config_, ctx.recorder(),
                      box.max_width(), budget, outcome, cancel, seq_stats);
     merge_stats(stats, seq_stats);
   } else {
     solve_parallel(spec, std::move(seeds), box.size(), config_, threads,
-                   batch, ctx.recorder(), box.max_width(), budget, outcome,
-                   cancel, stats);
+                   ctx.recorder(), box.max_width(), budget, outcome, cancel,
+                   stats);
   }
   IcpResult result = finalize(outcome, budget, stats);
   ctx.publish(result.verdict);
@@ -870,7 +736,6 @@ IcpResult IcpSolver::solve(const Dnf& dnf, const interval::Box& box) const {
   std::vector<IcpResult> results(k);
   for (IcpResult& r : results) r.stats.max_depth_width = box.max_width();
   const int threads = parallel::resolve_thread_count(config_.threads);
-  const int batch = resolve_icp_batch(config_.batch_size);
 
   if (threads > 1 && k >= static_cast<std::size_t>(threads)) {
     // Concurrent disjunct dispatch (enough disjuncts to feed every
@@ -910,9 +775,9 @@ IcpResult IcpSolver::solve(const Dnf& dnf, const interval::Box& box) const {
           const ContractorSpec spec(*pool_, dnf.disjuncts[i], config_);
           ctx.emplace(*pool_, dnf.disjuncts[i], box, config_);
           if (ctx->warm_started()) ++stats.warm_starts;
-          solve_sequential(spec, ctx->take_seeds(), config_, batch,
-                           ctx->recorder(), box.max_width(), budget,
-                           outcomes[i], cancel, stats);
+          solve_sequential(spec, ctx->take_seeds(), config_, ctx->recorder(),
+                           box.max_width(), budget, outcomes[i], cancel,
+                           stats);
           if (outcomes[i].exhausted.load(std::memory_order_acquire)) {
             dnf_outcome.exhausted.store(true, std::memory_order_release);
           }
@@ -982,13 +847,12 @@ IcpResult IcpSolver::solve(const Dnf& dnf, const interval::Box& box) const {
       if (ctx.warm_started()) ++stats.warm_starts;
       if (threads > 1) {
         solve_parallel(spec, ctx.take_seeds(), box.size(), config_, threads,
-                       batch, ctx.recorder(), box.max_width(), budget,
-                       outcome, cancel, stats);
+                       ctx.recorder(), box.max_width(), budget, outcome,
+                       cancel, stats);
       } else {
         IcpStats seq_stats;
-        solve_sequential(spec, ctx.take_seeds(), config_, batch,
-                         ctx.recorder(), box.max_width(), budget, outcome,
-                         cancel, seq_stats);
+        solve_sequential(spec, ctx.take_seeds(), config_, ctx.recorder(),
+                         box.max_width(), budget, outcome, cancel, seq_stats);
         merge_stats(stats, seq_stats);
       }
       {

@@ -16,35 +16,30 @@
 ///                exactly as the paper treats dReal's δ-sat answers.
 ///  * `kUnknown` — resource budget exhausted.
 ///
-/// Batched frontier: the solver pops, contracts, splits and prunes
-/// *sibling groups* of boxes (`IcpConfig::batch_size` lanes) instead of
-/// one box at a time, running the structure-of-arrays tape sweeps
-/// (src/smt/tape.h) across the group. Exploration order is documented
-/// and stable:
-///  * the frontier is a LIFO stack; each surviving box pushes its left
-///    child then its right child (so the right child is explored first);
+/// Exploration order: the solver pops, contracts and settles one box at
+/// a time through one HC4 contractor call (tree, tape or JIT — all three
+/// bit-identical). The order is documented and stable:
+///  * the frontier is a LIFO stack (depth-first search);
+///  * each surviving box pushes its left child then its right child, so
+///    the right child is explored first;
 ///  * splits bisect the widest dimension, ties breaking to the *lowest*
-///    dimension index (Box::widest_dim);
-///  * a batch pops the top `batch_size` boxes, processes them in pop
-///    order (deepest first), and re-pushes surviving children in reverse
-///    pop order, so the deepest box's children surface first.
-/// With batch_size = 1 this is exactly the classic scalar DFS, witness
-/// and statistics included; with any batch size each box's contraction
-/// is bit-identical to the scalar path, so UNSAT/SAT answers never
-/// change — only which witness is found first.
+///    dimension index (Box::widest_dim).
+/// The sequential solver is therefore deterministic: the same query,
+/// box, config and cache state give the same verdict, witness and
+/// statistics on every run and with every HC4 backend, unless the
+/// wall-clock budget fires.
 ///
 /// Parallel execution: with `IcpConfig::threads != 1` the box frontier is
-/// shared across pool workers (each owning its own HC4 contractor or
-/// batch register file). Idle workers steal whole chunks — up to a batch,
-/// at most half the victim's shard — from the *front* of a victim shard,
-/// which holds the shallowest (largest) subproblems. A worker that
-/// proves (δ-)SAT short-circuits the others through a cancellation
-/// token. UNSAT and UNKNOWN answers are identical to the sequential
-/// solver's; a SAT witness box may differ between runs (any surviving
-/// box is a valid witness — δ-decidability does not pin down which one
-/// is reported). DNF queries dispatch their disjuncts concurrently under
-/// one *shared* wall-clock/box budget, so a k-disjunct query can no
-/// longer run k× over the configured limits.
+/// shared across pool workers (each owning its own HC4 contractor). A
+/// worker pops the deepest box of its own shard; an idle worker steals
+/// the shallowest (largest) box from the *front* of a victim shard. A
+/// worker that proves (δ-)SAT short-circuits the others through a
+/// cancellation token. UNSAT and UNKNOWN answers are identical to the
+/// sequential solver's; a SAT witness box may differ between runs (any
+/// surviving box is a valid witness — δ-decidability does not pin down
+/// which one is reported). DNF queries dispatch their disjuncts
+/// concurrently under one *shared* wall-clock/box budget, so a
+/// k-disjunct query can no longer run k× over the configured limits.
 ///
 /// UNSAT-tree warm-starting: when `IcpConfig::unsat_cache` is set (the
 /// verifiers install one) and warm starts are enabled, every refuted
@@ -104,12 +99,6 @@ struct IcpConfig {
   /// e.g. the verifier's adaptive-δ re-checks of the same query. Must
   /// not outlive the ExprPool it caches for.
   std::shared_ptr<TapeCache> tape_cache;
-  /// Frontier batch width: 0 = auto (BCERT_ICP_BATCH, default 8),
-  /// 1 = scalar one-box-at-a-time (bit-identical to the classic solver,
-  /// witness and stats included), N = contract sibling groups of N boxes
-  /// through the batched tape sweeps. See the exploration-order contract
-  /// in the file comment.
-  int batch_size = 0;
   /// UNSAT-tree warm-starting across structurally identical queries.
   /// Only active when `unsat_cache` is set; the BCERT_ICP_WARM
   /// environment variable overrides this flag ("0"/"off"/"false"
@@ -137,16 +126,11 @@ struct IcpConfig {
   /// kResourceExhausted verdict. Null = unaccounted.
   core::MemoryBudget* mem_budget = nullptr;
   /// Per-job degradation counters (pipeline-owned). When set, the
-  /// ladder rungs taken inside the solver — tape compile failure → tree
-  /// HC4, SIMD tier downgrade, dropped cache entry → cold start — are
-  /// tallied here. Null = not recorded.
+  /// ladder rungs taken inside the solver — JIT emission failure → tape
+  /// HC4, tape compile failure → tree HC4, dropped cache entry → cold
+  /// start — are tallied here. Null = not recorded.
   core::DegradationCounters* degrade = nullptr;
 };
-
-/// Resolves IcpConfig::batch_size: values > 0 are taken (clamped to
-/// 1024 — lane buffers are sized per worker by this), otherwise the
-/// BCERT_ICP_BATCH environment variable, otherwise 8.
-int resolve_icp_batch(int requested);
 
 /// True when this config's warm-start flag, the BCERT_ICP_WARM override,
 /// and the presence of an unsat_cache all allow warm starts.

@@ -512,8 +512,7 @@ class Emitter {
     }
   }
 
-  /// Forward general multiply — instruction-for-instruction translation
-  /// of tkern::mul_iv (itself bit-identical to interval::operator*):
+  /// Forward general multiply, bit-identical to interval::operator*:
   /// empty operand → canonical empty, exact [0,0] operand → exact [0,0]
   /// unwidened, else the four-product core with mul_ep's 0·∞ = 0 zero
   /// masking and fused outward rounding.

@@ -21,8 +21,9 @@
 /// A tape is immutable after construction and holds no mutable scratch,
 /// so concurrent ICP workers share one `const Hc4Tape` and keep only a
 /// private register file (`make_registers`) — compile once per query, not
-/// once per worker — and the flat layout is the substrate for future
-/// SIMD interval kernels.
+/// once per worker. The same flat program is what the SSE2 interval
+/// kernels (src/smt/tape_kernels.h) sweep and what the native backend
+/// (src/smt/jit) compiles.
 
 #include <atomic>
 #include <cstdint>
@@ -35,36 +36,13 @@
 
 #include "src/expr/expr.h"
 #include "src/interval/box.h"
-#include "src/interval/box_batch.h"
 #include "src/interval/interval.h"
-#include "src/linalg/vector.h"
 #include "src/smt/constraint.h"
 #include "src/smt/keyed_cache.h"
 
 namespace bcert::smt {
 
 class Hc4Jit;  // src/smt/jit/hc4_jit.h — native backend over a tape
-
-/// Cross-lane SIMD tier of the *batched* tape sweeps. All tiers are
-/// bit-identical per lane (the batch differential tests check every
-/// available tier against the scalar tape):
-///  * kAvx2   — two intervals (two boxes' worth of one register slot) per
-///              256-bit operation; requires AVX2 at runtime.
-///  * kSse2   — one interval per 128-bit operation, the same kernels the
-///              scalar tape sweeps use.
-///  * kScalar — portable per-lane twins of the SSE2 kernels.
-enum class SimdTier : std::uint8_t { kScalar, kSse2, kAvx2 };
-
-const char* simd_tier_name(SimdTier t);
-
-/// True when \p t can execute on this build + CPU.
-bool simd_tier_available(SimdTier t);
-
-/// Highest available tier, overridable via BCERT_ICP_SIMD
-/// ("avx2" / "sse2" / "scalar"; an unavailable or unknown request falls
-/// back to the best available tier with a one-time stderr warning).
-/// Cached after the first call.
-SimdTier resolve_simd_tier();
 
 /// Outcome of one contraction pass.
 enum class ContractResult : std::uint8_t {
@@ -197,54 +175,6 @@ class Hc4Tape {
   /// Forward-only evaluation of the constraint roots over \p box.
   void eval_roots(const interval::Box& box, Registers& regs,
                   std::vector<interval::Interval>& out) const;
-
-  // --- batched execution (structure-of-arrays lanes) -----------------------
-
-  /// Register file for a batch of boxes: slot-major, with each slot
-  /// holding `lanes` interleaved [lo, hi] pairs (stride padded so every
-  /// slot row is 32-byte aligned). Lanes are independent boxes; the
-  /// batched sweeps run the same instruction stream across all lanes.
-  /// Also owns the sweeps' per-call scratch (lane masks, fixpoint
-  /// bookkeeping, root enclosures), reused across frontier rounds so the
-  /// hot loop never touches the allocator.
-  struct BatchRegisters {
-    std::size_t lanes = 0;
-    std::size_t stride = 0;  ///< doubles per slot (2 × padded lane count)
-    linalg::AlignedDoubles data;
-    // Scratch below is transient per contract_fixpoint_batch call.
-    std::vector<std::uint8_t> active, alive, any_change, roots_valid,
-        pass_alive, leg_empty, need;
-    std::vector<double> before;
-    std::vector<interval::Interval> roots;
-  };
-
-  /// Fresh batch register file for up to \p lanes boxes.
-  BatchRegisters make_batch_registers(std::size_t lanes) const;
-
-  /// Per-lane outcome of contract_fixpoint_batch.
-  struct LaneOutcome {
-    ContractResult result = ContractResult::kNoChange;
-    /// certainly_satisfied over the lane's contracted box (only
-    /// meaningful when result != kEmpty) — computed exactly as the
-    /// scalar hot loop computes it, reusing the final pass's forward
-    /// enclosures when that pass was a fixpoint.
-    bool satisfied = false;
-  };
-
-  /// Batched twin of `contract_fixpoint` + `certainly_satisfied` over
-  /// every lane of \p batch (narrowed in place). Each lane runs the
-  /// identical pass/fixpoint/certainty sequence the scalar path runs for
-  /// the corresponding Box, so surviving lanes are bit-identical to
-  /// scalar contraction; `regs` must come from make_batch_registers with
-  /// capacity ≥ batch.size(). Uses resolve_simd_tier() for the kernels;
-  /// the explicit-tier overload exists for the differential tests.
-  void contract_fixpoint_batch(interval::BoxBatch& batch,
-                               BatchRegisters& regs, int max_passes,
-                               double ratio, LaneOutcome* out) const;
-  void contract_fixpoint_batch(interval::BoxBatch& batch,
-                               BatchRegisters& regs, int max_passes,
-                               double ratio, LaneOutcome* out,
-                               SimdTier tier) const;
 
  private:
   Hc4Tape() = default;  ///< empty shell restore() fills field by field

@@ -1,15 +1,14 @@
 #pragma once
 /// \file tape_kernels.h
-/// \brief Internal interval kernels shared by the tape engine's scalar
-/// and batched sweeps.
+/// \brief Internal interval kernels of the tape interpreter.
 ///
-/// These helpers are the arithmetic core of `Hc4Tape::contract` and of
-/// the batched `contract_fixpoint_batch` lanes; the AVX2 translation
-/// unit (tape_batch_avx2.cpp) reuses them for its odd-lane tails. They
-/// live in one header precisely so every execution path — tree walk,
-/// scalar tape, per-lane batch, two-interval AVX2 batch — runs literally
-/// the same code on the boundary cases the differential fuzz harness
-/// checks (±0, ±inf, NaN, empty intervals).
+/// These helpers are the arithmetic core of `Hc4Tape::contract`; the IR
+/// constant folder (src/smt/ir) calls them too, and the native backend
+/// (src/smt/jit) emits instruction-for-instruction translations of them.
+/// They live in one header so the tape, the IR folder and the emitted
+/// code share one definition of the boundary cases the differential fuzz
+/// harnesses check against the tree walk (±0, ±inf, NaN, empty
+/// intervals).
 ///
 /// Not a public API: include only from src/smt tape implementation files.
 
@@ -124,69 +123,6 @@ inline __m128d outward_pd(__m128d v) {
 inline Interval add_iv(const Interval& a, const Interval& b) {
   if (a.is_empty() || b.is_empty()) return Interval::empty();
   return store_iv(outward_pd(_mm_add_pd(load_iv(a), load_iv(b))));
-}
-
-/// Four-product core of interval::operator*: operands nonempty, neither
-/// exactly [0,0]. mul_ep's 0·∞ = 0 convention is reproduced by zeroing
-/// each product whose factors include a ±0 lane before the min/max
-/// reduction, so no product is ever NaN; the reduction associates the
-/// products differently from the scalar std::min/std::max chain, but the
-/// only values where that could pick different bits are ±0 pairs, and
-/// the outward rounding maps +0 and -0 to the same neighbor.
-inline __m128d mul4_pd(__m128d va, __m128d vb) {
-  const __m128d zero = _mm_setzero_pd();
-  const __m128d vbs = _mm_shuffle_pd(vb, vb, 1);
-  const __m128d za = _mm_cmpeq_pd(va, zero);
-  const __m128d p14 = _mm_andnot_pd(_mm_or_pd(za, _mm_cmpeq_pd(vb, zero)),
-                                    _mm_mul_pd(va, vb));
-  const __m128d p23 = _mm_andnot_pd(_mm_or_pd(za, _mm_cmpeq_pd(vbs, zero)),
-                                    _mm_mul_pd(va, vbs));
-  const __m128d mn = _mm_min_pd(p14, p23);
-  const __m128d mx = _mm_max_pd(p14, p23);
-  const __m128d lo = _mm_min_pd(mn, _mm_shuffle_pd(mn, mn, 1));
-  const __m128d hi = _mm_max_pd(mx, _mm_shuffle_pd(mx, mx, 1));
-  return outward_pd(_mm_move_sd(hi, lo));  // lane0 = lo, lane1 = hi
-}
-
-/// Forward multiplication, bit-identical to interval::operator*.
-inline Interval mul_iv(const Interval& a, const Interval& b) {
-  if (a.is_empty() || b.is_empty()) return Interval::empty();
-  if ((a.lo() == 0.0 && a.hi() == 0.0) || (b.lo() == 0.0 && b.hi() == 0.0)) {
-    return Interval(0.0);
-  }
-  return store_iv(mul4_pd(load_iv(a), load_iv(b)));
-}
-
-/// Forward multiplication by the splatted constant \p vw = [w, w]
-/// (w nonzero finite, \p negative = w < 0), bit-identical to mul_const:
-/// both endpoint products in one mulpd, the zero-endpoint mask standing
-/// in for mul_ep, a swap instead of the w<0 endpoint exchange.
-inline Interval mul_const_iv(const Interval& x, __m128d vw, bool negative) {
-  if (x.is_empty()) return Interval::empty();
-  if (x.lo() == 0.0 && x.hi() == 0.0) return Interval(0.0);
-  const __m128d vx = load_iv(x);
-  __m128d p = _mm_andnot_pd(_mm_cmpeq_pd(vx, _mm_setzero_pd()),
-                            _mm_mul_pd(vx, vw));
-  if (negative) p = _mm_shuffle_pd(p, p, 1);
-  return store_iv(outward_pd(p));
-}
-
-/// Forward division, bit-identical to interval::operator/. The hot
-/// branch — divisor bounded away from zero — runs reciprocal + the
-/// 4-product core in SSE; rec is never empty and never exactly [0,0]
-/// (outward rounding cannot land on zero), so operator*'s pre-checks on
-/// it are vacuous. Zero-straddling divisors take the scalar extended
-/// branches verbatim.
-inline Interval div_iv(const Interval& a, const Interval& b) {
-  if (a.is_empty() || b.is_empty()) return Interval::empty();
-  if (b.lo() > 0.0 || b.hi() < 0.0) {
-    if (a.lo() == 0.0 && a.hi() == 0.0) return Interval(0.0);
-    const __m128d vb = load_iv(b);
-    const __m128d rec = outward_pd(
-        _mm_div_pd(_mm_set1_pd(1.0), _mm_shuffle_pd(vb, vb, 1)));
-    return store_iv(mul4_pd(load_iv(a), rec));
-  }
-  return a / b;
 }
 
 /// target ∩= (r − s), the kAdd projection leg. All operands are nonempty

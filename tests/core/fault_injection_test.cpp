@@ -294,27 +294,6 @@ TEST(DegradationLadder, CacheTripColdStartsBitIdentical) {
   EXPECT_GT(second.degradation.cache_cold, 0u);
 }
 
-TEST(DegradationLadder, SimdTripsNeverChangeResults) {
-  RuntimeConfig clean = RuntimeConfig::active();
-  clean.fault_spec.clear();
-  ScopedActiveConfig guard(clean);
-
-  expr::ExprPool pool_a;
-  Engine fresh(serial_engine());
-  const VerifyResult baseline =
-      fresh.verify(linear_problem(pool_a), deterministic_options());
-
-  expr::ExprPool pool_b;
-  Engine engine(serial_engine());
-  ScopedFaultSpec spec("simd_dispatch:throw@every:1");
-  const VerifyResult faulted =
-      engine.verify(linear_problem(pool_b), deterministic_options());
-  // The batched tiers are lane-for-lane bit-identical by contract, so a
-  // downgrade is invisible in results (the counter only moves when the
-  // batched sweep is active on this workload/config).
-  expect_bit_identical(baseline, faulted);
-}
-
 TEST(ResourceGovernor, TinyQuotaYieldsTypedResourceExhausted) {
   expr::ExprPool pool;
   Engine engine(serial_engine());

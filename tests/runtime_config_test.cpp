@@ -3,6 +3,7 @@
 // programmatic override path the Engine and resolvers rely on.
 #include "src/core/runtime_config.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <optional>
 #include <string>
@@ -20,7 +21,6 @@ namespace bcert {
 namespace {
 
 using core::ConfigHc4Mode;
-using core::ConfigSimd;
 using core::ConfigToggle;
 using core::RuntimeConfig;
 
@@ -30,10 +30,9 @@ using core::RuntimeConfig;
 /// Everything is restored on teardown.
 class RuntimeConfigTest : public ::testing::Test {
  protected:
-  static constexpr const char* kVars[8] = {
-      "BCERT_THREADS", "BCERT_ICP_BATCH", "BCERT_ICP_WARM",
-      "BCERT_LP_WARM", "BCERT_HC4_MODE", "BCERT_ICP_SIMD",
-      "BCERT_FAULT", "BCERT_MEM_QUOTA"};
+  static constexpr const char* kVars[6] = {
+      "BCERT_THREADS", "BCERT_ICP_WARM", "BCERT_LP_WARM",
+      "BCERT_HC4_MODE", "BCERT_FAULT", "BCERT_MEM_QUOTA"};
 
   void SetUp() override {
     for (const char* name : kVars) {
@@ -59,64 +58,51 @@ TEST_F(RuntimeConfigTest, DefaultsWhenEnvironmentUnset) {
   std::vector<std::string> warnings;
   const RuntimeConfig c = RuntimeConfig::from_env(&warnings);
   EXPECT_EQ(c.threads, 0);
-  EXPECT_EQ(c.icp_batch, 0);
   EXPECT_EQ(c.icp_warm, ConfigToggle::kAuto);
   EXPECT_EQ(c.lp_warm, ConfigToggle::kAuto);
   EXPECT_EQ(c.hc4_mode, ConfigHc4Mode::kTape);
-  EXPECT_EQ(c.icp_simd, ConfigSimd::kAuto);
   EXPECT_TRUE(warnings.empty());
 }
 
 TEST_F(RuntimeConfigTest, ParsesWellFormedValues) {
   setenv("BCERT_THREADS", "4", 1);
-  setenv("BCERT_ICP_BATCH", "16", 1);
   setenv("BCERT_ICP_WARM", "off", 1);
   setenv("BCERT_LP_WARM", "1", 1);
   setenv("BCERT_HC4_MODE", "tree", 1);
-  setenv("BCERT_ICP_SIMD", "scalar", 1);
 
   std::vector<std::string> warnings;
   const RuntimeConfig c = RuntimeConfig::from_env(&warnings);
   EXPECT_EQ(c.threads, 4);
-  EXPECT_EQ(c.icp_batch, 16);
   EXPECT_EQ(c.icp_warm, ConfigToggle::kOff);
   EXPECT_EQ(c.lp_warm, ConfigToggle::kOn);
   EXPECT_EQ(c.hc4_mode, ConfigHc4Mode::kTree);
-  EXPECT_EQ(c.icp_simd, ConfigSimd::kScalar);
   EXPECT_TRUE(warnings.empty()) << warnings.front();
 }
 
 TEST_F(RuntimeConfigTest, MalformedIntegersWarnAndFallBack) {
   setenv("BCERT_THREADS", "abc", 1);
-  setenv("BCERT_ICP_BATCH", "8boxes", 1);  // trailing junk
 
   std::vector<std::string> warnings;
   const RuntimeConfig c = RuntimeConfig::from_env(&warnings);
-  EXPECT_EQ(c.threads, 0);    // auto, not atoi garbage
-  EXPECT_EQ(c.icp_batch, 0);  // default, not 8-with-junk
-  ASSERT_EQ(warnings.size(), 2u);
+  EXPECT_EQ(c.threads, 0);  // auto, not atoi garbage
+  ASSERT_EQ(warnings.size(), 1u);
   EXPECT_NE(warnings[0].find("BCERT_THREADS"), std::string::npos);
-  EXPECT_NE(warnings[1].find("BCERT_ICP_BATCH"), std::string::npos);
 }
 
 TEST_F(RuntimeConfigTest, NonPositiveIntegersRejected) {
   setenv("BCERT_THREADS", "0", 1);
-  setenv("BCERT_ICP_BATCH", "-3", 1);
   std::vector<std::string> warnings;
   const RuntimeConfig c = RuntimeConfig::from_env(&warnings);
   EXPECT_EQ(c.threads, 0);
-  EXPECT_EQ(c.icp_batch, 0);
-  EXPECT_EQ(warnings.size(), 2u);
+  EXPECT_EQ(warnings.size(), 1u);
 }
 
 TEST_F(RuntimeConfigTest, MalformedEnumsWarnAndFallBack) {
   setenv("BCERT_HC4_MODE", "tapee", 1);
-  setenv("BCERT_ICP_SIMD", "avx512", 1);
   std::vector<std::string> warnings;
   const RuntimeConfig c = RuntimeConfig::from_env(&warnings);
   EXPECT_EQ(c.hc4_mode, ConfigHc4Mode::kTape);
-  EXPECT_EQ(c.icp_simd, ConfigSimd::kAuto);
-  EXPECT_EQ(warnings.size(), 2u);
+  EXPECT_EQ(warnings.size(), 1u);
 }
 
 TEST_F(RuntimeConfigTest, MalformedToggleWarnsButEnables) {
@@ -130,13 +116,24 @@ TEST_F(RuntimeConfigTest, MalformedToggleWarnsButEnables) {
 }
 
 TEST_F(RuntimeConfigTest, UnknownBcertVariableWarns) {
-  setenv("BCERT_ICP_BACTH", "8", 1);  // the classic typo
+  // A typo, and two retired knobs (the batched ICP frontier's width and
+  // SIMD tier): a user still setting them is told they do nothing.
+  const std::vector<std::string> names = {
+      "BCERT_ICP_BACTH", "BCERT_ICP_BATCH", "BCERT_ICP_SIMD"};
+  for (const std::string& name : names) setenv(name.c_str(), "8", 1);
   std::vector<std::string> warnings;
   (void)RuntimeConfig::from_env(&warnings);
-  unsetenv("BCERT_ICP_BACTH");
-  ASSERT_EQ(warnings.size(), 1u);
-  EXPECT_NE(warnings[0].find("BCERT_ICP_BACTH"), std::string::npos);
-  EXPECT_NE(warnings[0].find("unknown"), std::string::npos);
+  for (const std::string& name : names) unsetenv(name.c_str());
+  ASSERT_EQ(warnings.size(), names.size());
+  for (const std::string& name : names) {
+    const std::string needle = "variable " + name + " ";
+    const auto hits = std::count_if(
+        warnings.begin(), warnings.end(), [&](const std::string& w) {
+          return w.find(needle) != std::string::npos &&
+                 w.find("unknown") != std::string::npos;
+        });
+    EXPECT_EQ(hits, 1) << name;
+  }
 }
 
 TEST_F(RuntimeConfigTest, BenchKnobsAreKnown) {
@@ -203,11 +200,11 @@ TEST_F(RuntimeConfigTest, StderrWarningsDedupePerMessage) {
   // Without a sink, warnings go to stderr — but each distinct message
   // only once per process, however often the same malformed environment
   // is re-parsed.
-  setenv("BCERT_ICP_BATCH", "dedupe-check-8x", 1);
+  setenv("BCERT_THREADS", "dedupe-check-8x", 1);
   ::testing::internal::CaptureStderr();
   (void)RuntimeConfig::from_env(nullptr);
   const std::string first = ::testing::internal::GetCapturedStderr();
-  EXPECT_NE(first.find("BCERT_ICP_BATCH"), std::string::npos);
+  EXPECT_NE(first.find("BCERT_THREADS"), std::string::npos);
 
   ::testing::internal::CaptureStderr();
   (void)RuntimeConfig::from_env(nullptr);
@@ -217,7 +214,7 @@ TEST_F(RuntimeConfigTest, StderrWarningsDedupePerMessage) {
 
   // A *different* offending value is a different message and still
   // surfaces.
-  setenv("BCERT_ICP_BATCH", "dedupe-check-9x", 1);
+  setenv("BCERT_THREADS", "dedupe-check-9x", 1);
   ::testing::internal::CaptureStderr();
   (void)RuntimeConfig::from_env(nullptr);
   const std::string changed = ::testing::internal::GetCapturedStderr();
@@ -249,13 +246,10 @@ TEST(RuntimeConfigOverride, ReachesThreadResolver) {
 
 TEST(RuntimeConfigOverride, ReachesIcpResolvers) {
   RuntimeConfig c = RuntimeConfig::active();
-  c.icp_batch = 5;
   c.icp_warm = ConfigToggle::kOff;
   c.hc4_mode = ConfigHc4Mode::kTree;
   ScopedActiveConfig guard(c);
 
-  EXPECT_EQ(smt::resolve_icp_batch(0), 5);
-  EXPECT_EQ(smt::resolve_icp_batch(2), 2);  // explicit wins
   EXPECT_EQ(smt::resolve_hc4_mode(smt::Hc4Mode::kAuto), smt::Hc4Mode::kTree);
   EXPECT_EQ(smt::resolve_hc4_mode(smt::Hc4Mode::kTape), smt::Hc4Mode::kTape);
 
@@ -282,14 +276,6 @@ TEST(RuntimeConfigOverride, ReachesLpWarmSwitch) {
     opts.warm_start = false;
     EXPECT_FALSE(core::lp_warm_start_enabled(opts));
   }
-}
-
-TEST(RuntimeConfigOverride, IcpBatchClampedToLaneBufferCap) {
-  RuntimeConfig c = RuntimeConfig::active();
-  c.icp_batch = 1 << 19;
-  ScopedActiveConfig guard(c);
-  EXPECT_EQ(smt::resolve_icp_batch(0), 1024);
-  EXPECT_EQ(smt::resolve_icp_batch(1 << 19), 1024);
 }
 
 }  // namespace

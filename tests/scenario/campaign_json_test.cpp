@@ -96,13 +96,13 @@ CampaignResult build_campaign() {
     o.result.degradation.cache_cold = 2;
     add(std::move(o));
   }
-  {  // 6: resource governor tripped; SIMD ladder walked down.
+  {  // 6: resource governor tripped; JIT emission fell back to the tape.
     ScenarioOutcome o;
     o.name = "quadrotor-s1-6";
     o.result.status = VerifyStatus::kResourceExhausted;
     o.result.error = Status(ErrorCode::kResourceExhausted,
                             "memory quota of 1048576 bytes breached");
-    o.result.degradation.simd_downgrade = 1;
+    o.result.degradation.jit_to_tape = 1;
     o.result.degradation.lp_cold = 3;
     o.attempts = 2;
     add(std::move(o));

@@ -379,7 +379,6 @@ TEST(Hc4JitDiff, JitCompileFaultDegradesToTape) {
   IcpConfig config;
   config.delta = 1e-2;
   config.threads = 1;
-  config.batch_size = 1;
   config.hc4_mode = Hc4Mode::kJit;
   config.degrade = &counters;
   const IcpSolver solver(pool, config);
@@ -393,6 +392,80 @@ TEST(Hc4JitDiff, JitCompileFaultDegradesToTape) {
   if (jit_supported()) {
     Hc4Contractor healthy(pool, c, Hc4Mode::kJit);
     EXPECT_NE(healthy.jit(), nullptr);
+  }
+}
+
+// --- solver-level equivalence ---------------------------------------------
+
+/// Random atoms with varied SAT/UNSAT status (parallel_icp_test shapes).
+Constraint random_atom(ExprPool& pool, std::mt19937& rng) {
+  std::uniform_real_distribution<double> coef(-2.0, 2.0);
+  std::uniform_int_distribution<int> kind(0, 3);
+  std::uniform_int_distribution<int> rel_pick(0, 1);
+  const ExprId x = pool.var(0);
+  const ExprId y = pool.var(1);
+  ExprId e = expr::kNoExpr;
+  switch (kind(rng)) {
+    case 0:
+      e = pool.sub(pool.add(pool.sqr(x), pool.sqr(y)),
+                   pool.constant(std::abs(coef(rng)) + 0.1));
+      break;
+    case 1:
+      e = pool.add(
+          pool.add(pool.sin(pool.mul(pool.constant(coef(rng)), x)),
+                   pool.cos(pool.mul(pool.constant(coef(rng)), y))),
+          pool.constant(coef(rng)));
+      break;
+    case 2:
+      e = pool.sub(pool.mul(x, y), pool.constant(coef(rng)));
+      break;
+    default:
+      e = pool.add(pool.sub(pool.tanh(x), y), pool.constant(coef(rng)));
+      break;
+  }
+  return {e, rel_pick(rng) == 0 ? Rel::kLe : Rel::kGe};
+}
+
+/// The native jit contractor plugged into the solver must reproduce the
+/// tape solver's exact search tree — verdict, box counts, splits and
+/// witness — on a SAT/UNSAT-mixed corpus. (On hosts without native
+/// emission the jit rung degrades to the tape, which makes this
+/// equivalence trivially true — still worth running: it pins the
+/// degradation path.)
+TEST(Hc4JitDiff, SolverJitVsTapeEquivalenceSweep) {
+  std::mt19937 rng(4711);
+  const Box box = Box::from_bounds({{-2.0, 2.0}, {-2.0, 2.0}});
+  IcpConfig tape_cfg;
+  tape_cfg.delta = 1e-2;
+  tape_cfg.max_boxes = 500'000;
+  tape_cfg.time_limit_s = 60.0;
+  tape_cfg.threads = 1;
+  tape_cfg.hc4_mode = Hc4Mode::kTape;
+  IcpConfig jit_cfg = tape_cfg;
+  jit_cfg.hc4_mode = Hc4Mode::kJit;
+  for (int trial = 0; trial < 25; ++trial) {
+    ExprPool pool;
+    Conjunction c;
+    const int m = 1 + static_cast<int>(rng() % 3);
+    for (int i = 0; i < m; ++i) {
+      const Constraint atom = random_atom(pool, rng);
+      c.add(atom.lhs, atom.rel);
+    }
+
+    const IcpSolver tape_solver(pool, tape_cfg);
+    const IcpSolver jit_solver(pool, jit_cfg);
+    const IcpResult rt = tape_solver.solve(c, box);
+    const IcpResult rj = jit_solver.solve(c, box);
+
+    ASSERT_EQ(rt.verdict, rj.verdict) << "trial " << trial;
+    EXPECT_EQ(rt.stats.boxes_processed, rj.stats.boxes_processed)
+        << "trial " << trial;
+    EXPECT_EQ(rt.stats.splits, rj.stats.splits) << "trial " << trial;
+    ASSERT_EQ(rt.witness.has_value(), rj.witness.has_value());
+    if (rt.witness.has_value()) {
+      EXPECT_TRUE(boxes_bit_identical(*rt.witness, *rj.witness))
+          << "trial " << trial;
+    }
   }
 }
 

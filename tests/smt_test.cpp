@@ -338,6 +338,36 @@ TEST(Icp, BudgetExhaustionReportsUnknown) {
   EXPECT_EQ(r.verdict, SatResult::kUnknown);
 }
 
+TEST(Icp, SequentialIsDeterministic) {
+  // Annulus 0.25 <= x² + y² <= 1: SAT, found only after several splits.
+  ExprPool p;
+  Conjunction c;
+  const ExprId r2 = p.add(p.sqr(p.var(0)), p.sqr(p.var(1)));
+  c.add(p.sub(r2, p.constant(1.0)), Rel::kLe);
+  c.add(p.sub(p.constant(0.25), r2), Rel::kLe);
+
+  IcpSolver solver(p);
+  solver.config().delta = 1e-2;
+  solver.config().threads = 1;
+  const Box box = Box::from_bounds({{-2.0, 2.0}, {-2.0, 2.0}});
+  const IcpResult a = solver.solve(c, box);
+  const IcpResult b = solver.solve(c, box);
+  ASSERT_TRUE(a.is_sat());
+  ASSERT_TRUE(b.is_sat());
+  EXPECT_EQ(a.verdict, b.verdict);
+  EXPECT_EQ(*a.witness, *b.witness);
+  EXPECT_EQ(a.stats.boxes_processed, b.stats.boxes_processed);
+  EXPECT_EQ(a.stats.splits, b.stats.splits);
+}
+
+TEST(Icp, WidestDimTieBreaksToLowestIndex) {
+  // The exploration-order contract: equal widths split the lowest index.
+  const Box b = Box::from_bounds({{0.0, 1.0}, {0.0, 1.0}, {0.0, 1.0}});
+  EXPECT_EQ(b.widest_dim(), 0u);
+  const Box c = Box::from_bounds({{0.0, 0.5}, {0.0, 1.0}, {0.0, 1.0}});
+  EXPECT_EQ(c.widest_dim(), 1u);
+}
+
 // Property: for random quadratic constraints, an UNSAT verdict is never
 // contradicted by dense sampling, and a SAT verdict's witness satisfies
 // the constraint.
