@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "src/core/poly_verifier.h"
 
 namespace {
 

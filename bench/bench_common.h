@@ -3,6 +3,8 @@
 /// \brief Shared setup for the paper-reproduction benches: the case-study
 /// regions, controller factories, and small env-var helpers.
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <random>
@@ -78,10 +80,33 @@ inline lp::LpProblem margin_lp(std::mt19937& rng, std::size_t coeffs,
   return p;
 }
 
-/// Integer environment variable with default.
+/// Reports a malformed bench knob on stderr and exits with status 2.
+[[noreturn]] inline void bad_env(const char* name, const std::string& value) {
+  std::fprintf(stderr, "bench: bad %s=\"%s\"\n", name, value.c_str());
+  std::exit(2);
+}
+
+/// Strict integer parse: the whole token must be a decimal integer that
+/// fits an int. Returns false on empty input, trailing junk or overflow.
+inline bool parse_int(const std::string& text, int& value) {
+  if (text.empty()) return false;
+  errno = 0;
+  char* end = nullptr;
+  const long v = std::strtol(text.c_str(), &end, 10);
+  if (errno != 0 || end == text.c_str() || *end != '\0') return false;
+  if (v < INT_MIN || v > INT_MAX) return false;
+  value = static_cast<int>(v);
+  return true;
+}
+
+/// Integer environment variable with default; a malformed value exits
+/// through bad_env().
 inline int env_int(const char* name, int fallback) {
   const char* v = std::getenv(name);
-  return v ? std::atoi(v) : fallback;
+  if (v == nullptr) return fallback;
+  int value = 0;
+  if (!parse_int(v, value)) bad_env(name, v);
+  return value;
 }
 
 /// String environment variable with default.

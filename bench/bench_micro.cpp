@@ -284,7 +284,7 @@ void headline_icp(bench::JsonReport& report) {
 /// zero, so the query is UNSAT, but only refutable by subdividing until
 /// every enclosure tightens below ε — a deep, deterministic split tree.
 /// The warm pass re-seeds each solve from the previous proof's leaf
-/// partition (BCERT_ICP_WARM machinery); the cold pass re-derives the
+/// partition (UNSAT-tree warm starts); the cold pass re-derives the
 /// tree every time. Gated in CI via icp_warm_sequence:warm_speedup.
 void headline_icp_warm(bench::JsonReport& report) {
   const int iters = bench::env_int("BCERT_ICP_WARM_ITERS", 10);

@@ -33,7 +33,12 @@ std::vector<std::size_t> parse_sizes(const std::string& spec) {
   std::stringstream ss(spec);
   std::string tok;
   while (std::getline(ss, tok, ',')) {
-    if (!tok.empty()) out.push_back(std::stoul(tok));
+    if (tok.empty()) continue;
+    int width = 0;
+    if (!bench::parse_int(tok, width) || width <= 0) {
+      bench::bad_env("BCERT_SIZES", spec);
+    }
+    out.push_back(static_cast<std::size_t>(width));
   }
   return out;
 }

@@ -18,10 +18,9 @@ using clock = std::chrono::steady_clock;
 
 Engine::Engine(EngineOptions options)
     : options_(options),
-      tape_cache_(std::make_shared<smt::TapeCache>(
-          options.tape_cache_entries)),
-      unsat_cache_(std::make_shared<smt::UnsatTreeCache>(
-          options.unsat_cache_entries)),
+      // Both caches at their default capacity (kMaxEntries).
+      tape_cache_(std::make_shared<smt::TapeCache>()),
+      unsat_cache_(std::make_shared<smt::UnsatTreeCache>()),
       pool_(static_cast<std::size_t>(
           parallel::resolve_thread_count(options.threads))) {}
 
@@ -221,16 +220,6 @@ CampaignResult Engine::run_campaign(std::span<const Scenario> scenarios,
   out.wall_time_s =
       std::chrono::duration<double>(clock::now() - t0).count();
   return out;
-}
-
-CampaignResult Engine::run_campaign(std::span<const BarrierProblem> problems,
-                                    const JobOptions& defaults) {
-  std::vector<Scenario> scenarios;
-  scenarios.reserve(problems.size());
-  for (std::size_t i = 0; i < problems.size(); ++i) {
-    scenarios.push_back({"scenario-" + std::to_string(i), problems[i]});
-  }
-  return run_campaign(std::span<const Scenario>(scenarios), defaults);
 }
 
 FalsificationResult Engine::falsify(const BarrierProblem& problem,

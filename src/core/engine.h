@@ -3,9 +3,9 @@
 /// \brief The unified verification engine — the library's top-level API.
 ///
 /// `bcert::Engine` runs barrier-certificate verification at scale. Where
-/// the deprecated one-shot verifiers rebuilt every cache per call, the
-/// Engine owns the shared infrastructure and amortizes it across *all*
-/// the scenarios it is asked to verify:
+/// a bare `BarrierPipeline` run builds its caches per call, the Engine
+/// owns the shared infrastructure and amortizes it across *all* the
+/// scenarios it is asked to verify:
 ///
 ///  * a **thread pool** (`parallel::ThreadPool`) executing submitted
 ///    jobs and the parallel ICP frontiers / DNF dispatch inside them;
@@ -57,9 +57,6 @@ namespace bcert::core {
 struct EngineOptions {
   /// Workers in the Engine-owned pool; 0 = RuntimeConfig / hardware.
   int threads = 0;
-  /// LRU capacities of the shared caches (entries).
-  std::size_t tape_cache_entries = smt::TapeCache::kMaxEntries;
-  std::size_t unsat_cache_entries = smt::UnsatTreeCache::kMaxEntries;
   /// Seed each scenario's first candidate LP from the last optimal
   /// basis of the same template shape (see PipelineHooks::warm_basis_io
   /// for the contract). Disable to make every job's LP sequence
@@ -224,9 +221,9 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   /// Blocking single-scenario verification on the calling thread, using
-  /// the shared caches. On a fresh Engine this is bit-identical to the
-  /// deprecated `BarrierVerifier::verify()` / `PolyBarrierVerifier::
-  /// verify()` one-shots (asserted by tests/engine_test.cpp).
+  /// the shared caches. On a fresh Engine this is bit-identical to a
+  /// bare `BarrierPipeline<Form>(...).run()` (asserted by
+  /// tests/engine_test.cpp).
   VerifyResult verify(const BarrierProblem& problem,
                       const JobOptions& options = {});
 
@@ -237,9 +234,6 @@ class Engine {
   /// per-scenario plus aggregate results. \p defaults applies to every
   /// scenario.
   CampaignResult run_campaign(std::span<const Scenario> scenarios,
-                              const JobOptions& defaults = {});
-  /// Convenience overload for unnamed problems (named scenario-0..N-1).
-  CampaignResult run_campaign(std::span<const BarrierProblem> problems,
                               const JobOptions& defaults = {});
 
   /// Testing-side complement: optimization-based falsification of a

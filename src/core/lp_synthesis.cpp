@@ -2,18 +2,7 @@
 
 #include <algorithm>
 
-#include "src/core/runtime_config.h"
-
 namespace bcert::core {
-
-bool lp_warm_start_enabled(const SynthesisOptions& opts) {
-  switch (RuntimeConfig::active().lp_warm) {
-    case ConfigToggle::kOn: return true;
-    case ConfigToggle::kOff: return false;
-    case ConfigToggle::kAuto: break;  // BCERT_LP_WARM unset
-  }
-  return opts.warm_start;
-}
 
 namespace {
 /// Scales a constraint row to unit ∞-norm. Rows are homogeneous

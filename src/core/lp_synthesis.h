@@ -77,17 +77,10 @@ struct SynthesisOptions {
   double rhs_perturbation = 1e-10;
   lp::SimplexOptions simplex;
   /// Thread the previous iteration's basis into the next candidate LP
-  /// (the verifiers do this via SynthesisResult::basis). The env var
-  /// BCERT_LP_WARM overrides this flag when set ("0"/"off"/"false"
-  /// disables, anything else enables) — see lp_warm_start_enabled().
+  /// (`BarrierPipeline` does this via SynthesisResult::basis). The one
+  /// switch for LP basis warm-starting; false = every LP cold-starts.
   bool warm_start = true;
 };
-
-/// Effective warm-start switch: RuntimeConfig::active().lp_warm when it
-/// is not kAuto (the typed home of BCERT_LP_WARM, parsed once at
-/// startup), else \p opts.warm_start. In-process toggling goes through
-/// \p opts.warm_start or RuntimeConfig::set_active().
-bool lp_warm_start_enabled(const SynthesisOptions& opts);
 
 /// Solves the margin-maximization LP over all \p samples for a pure
 /// quadratic template in \p dims variables.

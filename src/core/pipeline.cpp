@@ -217,7 +217,7 @@ BarrierPipeline<Form>::BarrierPipeline(BarrierProblem problem,
   if (!options_.icp.tape_cache) {
     options_.icp.tape_cache = std::make_shared<smt::TapeCache>();
   }
-  // UNSAT-tree warm-starting (BCERT_ICP_WARM): successive candidates
+  // UNSAT-tree warm-starting (IcpConfig::warm_start): successive candidates
   // differ only in W's coefficients, so their decrease/level queries
   // share structural signatures and each refutation seeds the next
   // query's frontier from the previous proof's leaf partition. Sound by
@@ -573,10 +573,10 @@ VerifyResult BarrierPipeline<Form>::run_impl() {
   // Each refinement iteration re-solves the margin LP with the same
   // variables and all previous rows plus the new counterexample rows —
   // the append-only pattern basis warm-starting is built for. Thread the
-  // previous optimal basis into the next solve (BCERT_LP_WARM=0 or
-  // SynthesisOptions::warm_start=false reverts to cold starts). The
+  // previous optimal basis into the next solve
+  // (SynthesisOptions::warm_start=false reverts to cold starts). The
   // Engine extends the chain across scenarios via hooks.warm_basis_io.
-  const bool warm = lp_warm_start_enabled(options_.synthesis);
+  const bool warm = options_.synthesis.warm_start;
   lp::LpBasis warm_basis;
   if (warm && hooks_.warm_basis_io != nullptr) {
     warm_basis = *hooks_.warm_basis_io;

@@ -6,10 +6,8 @@
 /// procedure — seed simulations, the LP ↔ SMT(5) candidate refinement
 /// loop, domain invariance, level-set selection with SMT (6)/(7) — for
 /// any certificate template `Form` (today `QuadraticForm` and
-/// `PolynomialForm`). It replaces the former twin `BarrierVerifier` /
-/// `PolyBarrierVerifier` code paths, which duplicated the whole
-/// candidate-loop/level-set machinery; those classes survive as thin
-/// deprecated shims over this pipeline.
+/// `PolynomialForm`). `core::Engine` runs it for jobs and campaigns;
+/// tests, benches and ablations drive its sub-steps directly.
 ///
 /// The per-template differences are isolated in `CertificateTraits`:
 ///
@@ -19,8 +17,8 @@
 ///    the certified global-optimizer window (polynomial);
 ///  * **check_level_exclusion** — condition (7) over the level set's
 ///    bounding box intersected with U's halfspaces (quadratic) vs the
-///    face form (7′) over ∂(safe_rect) (polynomial; see
-///    poly_verifier.h for the soundness argument).
+///    face form (7′) over ∂(safe_rect) (polynomial; the soundness
+///    argument is at `CertificateTraits<PolynomialForm>`).
 ///
 /// Everything else — the decrease check (5), the initial-set check (6),
 /// domain invariance, the δ-refinement workflow, the Table-1 timing
@@ -147,6 +145,25 @@ struct CertificateTraits<QuadraticForm> {
       double level);
 };
 
+/// Polynomial templates of degree 2..max_degree (the paper's
+/// "Sum-of-Squares polynomials" remark, §3). Two things differ from the
+/// quadratic template:
+///
+///  * The level set {W ≤ ℓ} of a higher-degree W is not an ellipsoid, so
+///    there is no closed-form ℓ window. Both ends come from the certified
+///    global optimizer (smt/optimizer.h): ℓ must exceed the certified
+///    max of W over X0 and stay below the certified min of W over every
+///    *face* of the safe rectangle.
+///  * Condition (7) is replaced by its face form (7′):
+///        ∃x ∈ ∂(safe_rect) : W(x) ≤ ℓ      — must be UNSAT.
+///    Soundness: a trajectory from X0 ⊂ {W ≤ ℓ} (by (6)) that reaches U
+///    must cross ∂(safe_rect). Along the way W never exceeds ℓ — inside
+///    X0 by (6), outside X0 by the strict decrease (5) — yet every
+///    boundary point with W ≤ ℓ is excluded by (7′). Contradiction, so
+///    U is unreachable. This is the same argument the paper makes with
+///    L ∩ U = ∅, specialized to U = complement(safe_rect). Faces of
+///    domain-only dimensions are covered by the flow-invariance check
+///    (`BarrierPipeline::check_domain_invariance`) instead.
 template <>
 struct CertificateTraits<PolynomialForm> {
   static constexpr const char* kName = "polynomial";
@@ -179,7 +196,7 @@ struct CertificateTraits<PolynomialForm> {
 
 /// The Figure-1 procedure, generic over the certificate template. The
 /// sub-steps are public so tests, benches and ablations can drive them
-/// independently (as they could on the old verifier classes).
+/// independently.
 template <typename Form>
 class BarrierPipeline {
  public:

@@ -8,8 +8,9 @@
 /// file provides the general monomial machinery: a basis of monomials of
 /// bounded total degree (degree ≥ 2 so W(0) = 0), a coefficient vector
 /// over it, numeric/symbolic evaluation and gradients. The LP synthesis
-/// and the verifier (poly_verifier.h) operate on any such basis, so
-/// quartic or higher templates can certify systems a quadratic cannot.
+/// and `BarrierPipeline<PolynomialForm>` (pipeline.h) operate on any
+/// such basis, so quartic or higher templates can certify systems a
+/// quadratic cannot.
 
 #include <string>
 #include <vector>

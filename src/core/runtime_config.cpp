@@ -79,9 +79,9 @@ bool parse_positive_int(const char* text, int max, int& value) {
   return true;
 }
 
-/// Boolean-knob tokens. Anything else is malformed (the legacy contract
-/// "anything else enables" survives as the fallback, but now warns).
-bool parse_toggle(const char* text, ConfigToggle& value) {
+/// Boolean-knob tokens (`0`/`off`/`false`, `1`/`on`/`true`). Anything
+/// else is malformed and leaves \p value untouched.
+bool parse_bool(const char* text, bool& value) {
   const bool off = std::strcmp(text, "0") == 0 ||
                    std::strcmp(text, "off") == 0 ||
                    std::strcmp(text, "false") == 0;
@@ -89,7 +89,7 @@ bool parse_toggle(const char* text, ConfigToggle& value) {
                   std::strcmp(text, "on") == 0 ||
                   std::strcmp(text, "true") == 0;
   if (!off && !on) return false;
-  value = off ? ConfigToggle::kOff : ConfigToggle::kOn;
+  value = on;
   return true;
 }
 
@@ -110,8 +110,8 @@ bool parse_non_negative_double(const char* text, double& value) {
 /// the bench executables through bench::env_int and listed here only so
 /// a bench run does not trip the unknown-variable warning.
 constexpr const char* kKnownVars[] = {
-    "BCERT_THREADS", "BCERT_ICP_WARM", "BCERT_LP_WARM", "BCERT_HC4_MODE",
-    "BCERT_FAULT", "BCERT_MEM_QUOTA", "BCERT_JIT_DUMP",
+    "BCERT_THREADS", "BCERT_HC4_MODE", "BCERT_FAULT", "BCERT_MEM_QUOTA",
+    "BCERT_JIT_DUMP",
     // bcertd daemon knobs (src/daemon)
     "BCERT_DAEMON_SOCKET", "BCERT_STATE_DIR", "BCERT_SNAPSHOT_S",
     "BCERT_LOG_LEVEL",
@@ -169,20 +169,6 @@ RuntimeConfig RuntimeConfig::from_env(std::vector<std::string>* warnings) {
                 "\" is not a positive integer; using hardware concurrency");
     }
   }
-  if (const char* v = std::getenv("BCERT_ICP_WARM")) {
-    if (!parse_toggle(v, config.icp_warm)) {
-      config.icp_warm = ConfigToggle::kOn;  // legacy: anything else enables
-      sink.warn(std::string("BCERT_ICP_WARM=\"") + v +
-                "\" (expected 0/off/false or 1/on/true); treating as on");
-    }
-  }
-  if (const char* v = std::getenv("BCERT_LP_WARM")) {
-    if (!parse_toggle(v, config.lp_warm)) {
-      config.lp_warm = ConfigToggle::kOn;
-      sink.warn(std::string("BCERT_LP_WARM=\"") + v +
-                "\" (expected 0/off/false or 1/on/true); treating as on");
-    }
-  }
   if (const char* v = std::getenv("BCERT_HC4_MODE")) {
     if (std::strcmp(v, "tape") == 0) {
       config.hc4_mode = ConfigHc4Mode::kTape;
@@ -198,10 +184,7 @@ RuntimeConfig RuntimeConfig::from_env(std::vector<std::string>* warnings) {
     }
   }
   if (const char* v = std::getenv("BCERT_JIT_DUMP")) {
-    ConfigToggle t = ConfigToggle::kAuto;
-    if (parse_toggle(v, t)) {
-      config.jit_dump = t == ConfigToggle::kOn;
-    } else {
+    if (!parse_bool(v, config.jit_dump)) {
       config.jit_dump = true;  // a set-but-odd value still means "dump"
       sink.warn(std::string("BCERT_JIT_DUMP=\"") + v +
                 "\" (expected 0/off/false or 1/on/true); treating as on");

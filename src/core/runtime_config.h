@@ -18,8 +18,7 @@
 ///    `BCERT_ICP_BACTH`) are reported too.
 ///  * `RuntimeConfig::active()` is the lazily-initialized process-wide
 ///    instance every resolver consults
-///    (`parallel::default_thread_count`, `smt::icp_warm_enabled`,
-///    `smt::resolve_hc4_mode`, `core::lp_warm_start_enabled`).
+///    (`parallel::default_thread_count`, `smt::resolve_hc4_mode`).
 ///  * Every field is overridable programmatically via
 ///    `RuntimeConfig::set_active()` — embedding applications configure
 ///    the library through this struct instead of mutating their own
@@ -33,11 +32,6 @@
 #include <vector>
 
 namespace bcert::core {
-
-/// Tri-state override for boolean knobs whose in-code default lives in
-/// an options struct (`IcpConfig::warm_start`,
-/// `SynthesisOptions::warm_start`): `kAuto` defers to that struct.
-enum class ConfigToggle : std::uint8_t { kAuto, kOn, kOff };
 
 /// HC4 contractor backend selection (`BCERT_HC4_MODE`). Mirrors
 /// `smt::Hc4Mode` without depending on the smt layer. `kJit` requests
@@ -58,14 +52,6 @@ struct RuntimeConfig {
   /// `threads = 0` auto knob. 0 = hardware concurrency.
   /// Env: `BCERT_THREADS` (positive integer).
   int threads = 0;
-
-  /// UNSAT-tree ICP warm-starting override. Env: `BCERT_ICP_WARM`
-  /// (`0`/`off`/`false` → kOff, `1`/`on`/`true` → kOn).
-  ConfigToggle icp_warm = ConfigToggle::kAuto;
-
-  /// LP basis warm-starting override. Env: `BCERT_LP_WARM` (same
-  /// tokens as `BCERT_ICP_WARM`).
-  ConfigToggle lp_warm = ConfigToggle::kAuto;
 
   /// HC4 backend for `Hc4Mode::kAuto` contractors. Env:
   /// `BCERT_HC4_MODE` (`jit`, `tape` or `tree`).

@@ -4,13 +4,9 @@
 /// statement, tuning options, template selection and the one unified
 /// result type every pipeline produces.
 ///
-/// These types used to live split between `verifier.h` (quadratic) and
-/// `poly_verifier.h` (polynomial, with a field-for-field copy of the
-/// result struct). The Engine redesign hoists them here so the
-/// template-generic `BarrierPipeline` (pipeline.h), the `Engine`
-/// (engine.h) and the deprecated verifier shims all speak the same
-/// types: one `BarrierProblem`, one `VerifierOptions`, one
-/// `VerifyResult`.
+/// The template-generic `BarrierPipeline` (pipeline.h) and the `Engine`
+/// (engine.h) speak these types: one `BarrierProblem`, one
+/// `VerifierOptions`, one `VerifyResult`.
 
 #include <cstdint>
 #include <functional>
@@ -176,8 +172,7 @@ struct VerifyTimings {
 
 /// The one verification report, shared by both templates. Exactly one of
 /// `generator` / `poly_generator` is set (matching `template_kind`);
-/// everything else is template-independent. This replaces the former
-/// `PolyVerifyResult` field-for-field copy.
+/// everything else is template-independent.
 struct VerifyResult {
   VerifyStatus status = VerifyStatus::kMaxCandidateIterations;
   TemplateSpec::Kind template_kind = TemplateSpec::Kind::kQuadratic;

@@ -13,7 +13,7 @@
 /// Each round makes the policy competent exactly where verification
 /// found it lacking, until a certificate exists.
 
-#include "src/core/verifier.h"
+#include "src/core/verify_types.h"
 #include "src/dubins/training.h"
 
 namespace bcert::dubins {

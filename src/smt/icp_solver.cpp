@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "src/core/fault.h"
-#include "src/core/runtime_config.h"
 #include "src/parallel/thread_pool.h"
 
 namespace bcert::smt {
@@ -37,18 +36,6 @@ linalg::Vector IcpResult::witness_point() const {
     throw std::logic_error("IcpResult::witness_point: no witness");
   }
   return witness->midpoint();
-}
-
-bool icp_warm_enabled(const IcpConfig& config) {
-  if (!config.unsat_cache) return false;
-  // Same override contract as the LP warm knob: RuntimeConfig kAuto
-  // (BCERT_ICP_WARM unset) defers to the config flag.
-  switch (core::RuntimeConfig::active().icp_warm) {
-    case core::ConfigToggle::kOn: return true;
-    case core::ConfigToggle::kOff: return false;
-    case core::ConfigToggle::kAuto: break;
-  }
-  return config.warm_start;
 }
 
 namespace {
@@ -334,7 +321,7 @@ class QueryContext {
                const Box& box, const IcpConfig& config)
       : pool_(&pool), box_(box), config_(&config) {
     if (box.is_empty()) return;  // no seeds: trivially UNSAT
-    if (icp_warm_enabled(config)) {
+    if (config.warm_start && config.unsat_cache) {
       rec_ = std::make_unique<TreeRecorder>(config.mem_budget);
       // Hash the conjunction once; publish() reuses both signatures. The
       // lossy shape hash keys the live LRU (organic cross-candidate

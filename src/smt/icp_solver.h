@@ -99,15 +99,13 @@ struct IcpConfig {
   /// e.g. the verifier's adaptive-δ re-checks of the same query. Must
   /// not outlive the ExprPool it caches for.
   std::shared_ptr<TapeCache> tape_cache;
-  /// UNSAT-tree warm-starting across structurally identical queries.
-  /// Only active when `unsat_cache` is set; the BCERT_ICP_WARM
-  /// environment variable overrides this flag ("0"/"off"/"false"
-  /// disables, anything else enables), mirroring BCERT_LP_WARM. Sound
-  /// by construction: stale seeds silently cold-start and valid seeds
-  /// partition the same search box (see the file comment).
+  /// UNSAT-tree warm-starting across structurally identical queries:
+  /// the one switch for it, active only when `unsat_cache` is set.
+  /// Sound by construction: stale seeds silently cold-start and valid
+  /// seeds partition the same search box (see the file comment).
   bool warm_start = true;
-  /// Cross-query store of terminal UNSAT box trees (the verifiers
-  /// install one per synthesis run). Must not outlive the ExprPool.
+  /// Cross-query store of terminal UNSAT box trees (`BarrierPipeline`
+  /// installs one per run). Must not outlive the ExprPool.
   std::shared_ptr<UnsatTreeCache> unsat_cache;
   /// Pool the parallel frontier and concurrent DNF dispatch run on;
   /// null = the process-global pool. The Engine points this at its
@@ -131,10 +129,6 @@ struct IcpConfig {
   /// start — are tallied here. Null = not recorded.
   core::DegradationCounters* degrade = nullptr;
 };
-
-/// True when this config's warm-start flag, the BCERT_ICP_WARM override,
-/// and the presence of an unsat_cache all allow warm starts.
-bool icp_warm_enabled(const IcpConfig& config);
 
 /// Solver statistics (one query).
 struct IcpStats {

@@ -6,9 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "src/core/lp_synthesis.h"
+#include "src/core/pipeline.h"
 #include "src/core/quadratic_form.h"
 #include "src/core/region.h"
-#include "src/core/verifier.h"
 #include "src/dubins/error_dynamics.h"
 #include "src/dubins/training.h"
 
@@ -206,8 +206,8 @@ TEST(Verifier, DubinsDistilledControllerIsSafe) {
   expr::ExprPool pool;
   const nn::FeedforwardNet controller =
       dubins::distill_controller(dubins::proportional_teacher(), 10);
-  BarrierVerifier verifier(dubins_problem(pool, controller), {});
-  const VerifyResult r = verifier.verify();
+  BarrierPipeline<QuadraticForm> verifier(dubins_problem(pool, controller), {});
+  const VerifyResult r = verifier.run();
   ASSERT_EQ(r.status, VerifyStatus::kSafe) << verify_status_name(r.status);
   ASSERT_TRUE(r.generator.has_value());
   EXPECT_TRUE(r.generator->positive_definite());
@@ -231,8 +231,8 @@ TEST(Verifier, CertificateDecreasesAlongTrajectories) {
   const nn::FeedforwardNet controller =
       dubins::distill_controller(dubins::proportional_teacher(), 20);
   const BarrierProblem problem = dubins_problem(pool, controller);
-  BarrierVerifier verifier(problem, {});
-  const VerifyResult r = verifier.verify();
+  BarrierPipeline<QuadraticForm> verifier(problem, {});
+  const VerifyResult r = verifier.run();
   ASSERT_TRUE(r.safe());
 
   // Simulate from X0 corners: W along the trajectory never rises above ℓ
@@ -260,8 +260,8 @@ TEST(Verifier, UnsafeControllerIsNotCertified) {
   expr::ExprPool pool;
   VerifierOptions opts;
   opts.max_candidate_iterations = 3;  // keep the test fast
-  BarrierVerifier verifier(dubins_problem(pool, bad), opts);
-  const VerifyResult r = verifier.verify();
+  BarrierPipeline<QuadraticForm> verifier(dubins_problem(pool, bad), opts);
+  const VerifyResult r = verifier.run();
   EXPECT_NE(r.status, VerifyStatus::kSafe);
 }
 
@@ -277,8 +277,8 @@ TEST(Verifier, LinearStableSystemDirectly) {
   p.sym_field = {pool.sub(pool.neg(x), y), pool.sub(x, y)};
   p.initial_set = {{-0.5, -0.5}, {0.5, 0.5}};
   p.safe_rect = {{-3.0, -3.0}, {3.0, 3.0}};
-  BarrierVerifier verifier(p, {});
-  const VerifyResult r = verifier.verify();
+  BarrierPipeline<QuadraticForm> verifier(p, {});
+  const VerifyResult r = verifier.run();
   ASSERT_EQ(r.status, VerifyStatus::kSafe) << verify_status_name(r.status);
 }
 
@@ -290,14 +290,14 @@ TEST(Verifier, ValidatesProblemShape) {
   p.sym_field = {pool.var(0)};
   p.initial_set = {{-2.0}, {2.0}};
   p.safe_rect = {{-1.0}, {1.0}};  // X0 not inside safe rect
-  EXPECT_THROW(BarrierVerifier(p, {}), std::invalid_argument);
+  EXPECT_THROW(BarrierPipeline<QuadraticForm>(p, {}), std::invalid_argument);
 }
 
 TEST(Verifier, CheckDecreaseFindsCexForBadCandidate) {
   expr::ExprPool pool;
   const nn::FeedforwardNet controller =
       dubins::distill_controller(dubins::proportional_teacher(), 10);
-  BarrierVerifier verifier(dubins_problem(pool, controller), {});
+  BarrierPipeline<QuadraticForm> verifier(dubins_problem(pool, controller), {});
   // W = d² alone is not a generator (ignores θ dynamics): expect SAT.
   QuadraticForm bad(2, Vector{1.0, 0.0, 0.0});
   const smt::IcpResult r = verifier.check_decrease(bad);
@@ -308,7 +308,7 @@ TEST(Verifier, LevelChecksBracketCorrectly) {
   expr::ExprPool pool;
   const nn::FeedforwardNet controller =
       dubins::distill_controller(dubins::proportional_teacher(), 10);
-  BarrierVerifier verifier(dubins_problem(pool, controller), {});
+  BarrierPipeline<QuadraticForm> verifier(dubins_problem(pool, controller), {});
   // A PD form; compute its analytic window and test the SMT checks at
   // levels inside/outside the window.
   QuadraticForm w(2, Vector{0.5, 0.3, 1.0});
@@ -321,9 +321,9 @@ TEST(Verifier, LevelChecksBracketCorrectly) {
   // ℓ in the middle: both checks UNSAT.
   const double mid = std::sqrt(lo * hi);
   EXPECT_TRUE(verifier.check_initial_contained(w, mid).is_unsat());
-  EXPECT_TRUE(verifier.check_unsafe_disjoint(w, mid).is_unsat());
+  EXPECT_TRUE(verifier.check_level_exclusion(w, mid).is_unsat());
   // ℓ above hi: L pokes into U → (7) must be SAT.
-  EXPECT_TRUE(verifier.check_unsafe_disjoint(w, hi * 1.2).is_sat());
+  EXPECT_TRUE(verifier.check_level_exclusion(w, hi * 1.2).is_sat());
 }
 
 // Property sweep: verified certificates really are invariant under
@@ -341,8 +341,8 @@ TEST_P(CertificateInvariance, NoTrajectoryEscapesLevelSet) {
   const nn::FeedforwardNet controller = dubins::distill_controller(
       dubins::proportional_teacher(), hidden, seed);
   const BarrierProblem problem = dubins_problem(pool, controller);
-  BarrierVerifier verifier(problem, {});
-  const VerifyResult r = verifier.verify();
+  BarrierPipeline<QuadraticForm> verifier(problem, {});
+  const VerifyResult r = verifier.run();
   ASSERT_TRUE(r.safe()) << verify_status_name(r.status);
 
   std::mt19937 rng(seed);

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/verifier.h"
+#include "src/core/pipeline.h"
 #include "src/dubins/rnn_dynamics.h"
 #include "src/expr/eval.h"
 
@@ -157,8 +157,8 @@ TEST(RnnVerification, BarrierCertificateForStatefulController) {
   core::VerifierOptions opts;
   opts.trace_duration = 25.0;
   opts.icp.time_limit_s = 120.0;
-  core::BarrierVerifier verifier(p, opts);
-  const core::VerifyResult r = verifier.verify();
+  core::BarrierPipeline<core::QuadraticForm> verifier(p, opts);
+  const core::VerifyResult r = verifier.run();
   ASSERT_EQ(r.status, core::VerifyStatus::kSafe)
       << verify_status_name(r.status);
 

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/engine.h"
+#include "src/core/runtime_config.h"
 #include "src/daemon/client.h"
 #include "src/daemon/json.h"
 #include "src/daemon/protocol.h"
@@ -28,6 +29,19 @@ namespace {
 
 constexpr std::uint64_t kSeed = 7;
 constexpr int kJobs = 2;
+
+/// RAII guard restoring the active config on exit.
+class ScopedActiveConfig {
+ public:
+  explicit ScopedActiveConfig(const core::RuntimeConfig& next)
+      : saved_(core::RuntimeConfig::active()) {
+    core::RuntimeConfig::set_active(next);
+  }
+  ~ScopedActiveConfig() { core::RuntimeConfig::set_active(saved_); }
+
+ private:
+  core::RuntimeConfig saved_;
+};
 
 struct CampaignOutcome {
   std::vector<std::string> verdicts;
@@ -136,6 +150,13 @@ std::vector<std::string> run_inprocess_campaign() {
 }
 
 TEST(ServerRestart, SnapshotWarmedDaemonIsBitIdenticalToColdAndInProcess) {
+  // The warm-restore assertions cover the snapshot's tape section, so
+  // pin every job to the tape backend: under BCERT_HC4_MODE=tree no
+  // tapes would compile and there would be nothing to restore.
+  core::RuntimeConfig tape = core::RuntimeConfig::active();
+  tape.hc4_mode = core::ConfigHc4Mode::kTape;
+  ScopedActiveConfig guard(tape);
+
   const std::string dir = testing::TempDir();
   const std::string socket_path = dir + "bcertd_restart_test.sock";
   const std::string state_dir = dir + "bcertd_restart_state";

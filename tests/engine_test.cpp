@@ -1,5 +1,5 @@
 // Tests for the unified verification Engine: differential equivalence
-// with the deprecated verifier shims, cross-scenario cache sharing,
+// with a bare BarrierPipeline run, cross-scenario cache sharing,
 // async submission, cooperative cancellation, deadlines, and campaigns.
 #include "src/core/engine.h"
 
@@ -11,8 +11,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/poly_verifier.h"
-#include "src/core/verifier.h"
+#include "src/core/pipeline.h"
 #include "src/dubins/error_dynamics.h"
 #include "src/dubins/training.h"
 
@@ -83,49 +82,46 @@ void expect_bit_identical(const VerifyResult& a, const VerifyResult& b) {
   EXPECT_EQ(a.timings.smt5_queries, b.timings.smt5_queries);
 }
 
-// The acceptance bar of the redesign: the deprecated shim and the
-// Engine single-job path run the same pipeline and must produce
-// bit-identical results (fresh Engine ⇒ empty caches, exactly the
-// shim's per-run state).
-TEST(Engine, SingleJobBitIdenticalToDeprecatedShim) {
+// A bare pipeline run and the Engine single-job path run the same
+// procedure and must produce bit-identical results (fresh Engine ⇒
+// empty caches, exactly a standalone pipeline's per-run state).
+TEST(Engine, SingleJobBitIdenticalToBarePipeline) {
   const nn::FeedforwardNet controller =
       dubins::distill_controller(dubins::proportional_teacher(), 10, 42);
 
-  expr::ExprPool pool_shim;
+  expr::ExprPool pool_bare;
   const JobOptions opts = deterministic_options();
-  BarrierVerifier shim(dubins_problem(pool_shim, controller), opts.verify);
-  const VerifyResult shim_result = shim.verify();
+  const VerifyResult bare_result = BarrierPipeline<QuadraticForm>(
+      dubins_problem(pool_bare, controller), opts.verify).run();
 
   expr::ExprPool pool_engine;
   Engine engine;
   const VerifyResult engine_result =
       engine.verify(dubins_problem(pool_engine, controller), opts);
 
-  ASSERT_TRUE(shim_result.safe())
-      << verify_status_name(shim_result.status);
-  expect_bit_identical(shim_result, engine_result);
+  ASSERT_TRUE(bare_result.safe())
+      << verify_status_name(bare_result.status);
+  expect_bit_identical(bare_result, engine_result);
 }
 
-TEST(Engine, PolynomialJobBitIdenticalToDeprecatedShim) {
-  expr::ExprPool pool_shim;
-  PolyVerifierOptions popts;
-  popts.base.icp.threads = 1;
-  popts.max_degree = 2;
-  PolyBarrierVerifier shim(linear_problem(pool_shim), popts);
-  const VerifyResult shim_result = shim.verify();
+TEST(Engine, PolynomialJobBitIdenticalToBarePipeline) {
+  JobOptions opts = deterministic_options();
+  opts.certificate = TemplateSpec::polynomial(2);
+
+  expr::ExprPool pool_bare;
+  const VerifyResult bare_result = BarrierPipeline<PolynomialForm>(
+      linear_problem(pool_bare), opts.verify, opts.certificate).run();
 
   expr::ExprPool pool_engine;
   Engine engine;
-  JobOptions opts = deterministic_options();
-  opts.certificate = TemplateSpec::polynomial(2);
   const VerifyResult engine_result =
       engine.verify(linear_problem(pool_engine), opts);
 
-  ASSERT_TRUE(shim_result.safe())
-      << verify_status_name(shim_result.status);
-  EXPECT_TRUE(shim_result.poly_generator.has_value());
-  EXPECT_FALSE(shim_result.generator.has_value());
-  expect_bit_identical(shim_result, engine_result);
+  ASSERT_TRUE(bare_result.safe())
+      << verify_status_name(bare_result.status);
+  EXPECT_TRUE(bare_result.poly_generator.has_value());
+  EXPECT_FALSE(bare_result.generator.has_value());
+  expect_bit_identical(bare_result, engine_result);
 }
 
 // Engine-level cache sharing: two structurally identical scenarios
@@ -173,11 +169,8 @@ TEST(Engine, CampaignSharesCachesAcrossScenarios) {
     // ...and compiled no new tapes (every conjunction was cached).
     EXPECT_EQ(tape_after.insertions, tape_before.insertions);
   }
-  // ...as above, UNSAT-tree reuse only exists while warm starts are on
-  // (BCERT_ICP_WARM=0 runs everything cold by design).
-  if (core::RuntimeConfig::active().icp_warm != core::ConfigToggle::kOff) {
-    EXPECT_GT(unsat_after.hits, unsat_before.hits);
-  }
+  // ...and replayed UNSAT trees from the first scenario.
+  EXPECT_GT(unsat_after.hits, unsat_before.hits);
 
   // Shared caches must not change answers: both runs bit-identical to a
   // fresh single-shot Engine run.
@@ -347,19 +340,6 @@ TEST(Engine, CampaignJsonEscapesScenarioNames) {
   const std::string json = campaign.to_json();
   EXPECT_NE(json.find("quote\\\"back\\\\slash"), std::string::npos);
   EXPECT_EQ(json.find("quote\"back"), std::string::npos);
-}
-
-TEST(Engine, CampaignOverProblemSpanNamesScenarios) {
-  expr::ExprPool pool;
-  Engine engine;
-  std::vector<BarrierProblem> problems{linear_problem(pool),
-                                       linear_problem(pool)};
-  const CampaignResult campaign = engine.run_campaign(
-      std::span<const BarrierProblem>(problems), deterministic_options());
-  ASSERT_EQ(campaign.scenarios.size(), 2u);
-  EXPECT_EQ(campaign.scenarios[0].name, "scenario-0");
-  EXPECT_EQ(campaign.scenarios[1].name, "scenario-1");
-  EXPECT_EQ(campaign.safe_count, 2);
 }
 
 }  // namespace

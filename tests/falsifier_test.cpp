@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/falsifier.h"
-#include "src/core/verifier.h"
+#include "src/core/pipeline.h"
 #include "src/dubins/error_dynamics.h"
 #include "src/dubins/training.h"
 
@@ -109,8 +109,8 @@ TEST(Falsifier, VerifierAndFalsifierAgree) {
   const nn::FeedforwardNet controller =
       dubins::distill_controller(dubins::proportional_teacher(), 20, 8);
   const BarrierProblem problem = dubins_problem(pool, controller);
-  BarrierVerifier verifier(problem, {});
-  const VerifyResult vr = verifier.verify();
+  BarrierPipeline<QuadraticForm> verifier(problem, {});
+  const VerifyResult vr = verifier.run();
   ASSERT_TRUE(vr.safe());
 
   FalsifierOptions opts;

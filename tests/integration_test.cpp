@@ -8,7 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/verifier.h"
+#include "src/core/pipeline.h"
 #include "src/dubins/error_dynamics.h"
 #include "src/dubins/training.h"
 #include "src/nn/elm.h"
@@ -17,6 +17,7 @@ namespace bcert {
 namespace {
 
 using linalg::Vector;
+using QuadPipeline = core::BarrierPipeline<core::QuadraticForm>;
 constexpr double kPi = 3.14159265358979323846;
 
 core::BarrierProblem dubins_problem(expr::ExprPool& pool,
@@ -41,10 +42,10 @@ TEST(Integration, SaveLoadVerifyRoundTrip) {
   const nn::FeedforwardNet loaded = nn::FeedforwardNet::load(ss);
 
   expr::ExprPool pool_a, pool_b;
-  core::BarrierVerifier va(dubins_problem(pool_a, original), {});
-  core::BarrierVerifier vb(dubins_problem(pool_b, loaded), {});
-  const core::VerifyResult ra = va.verify();
-  const core::VerifyResult rb = vb.verify();
+  QuadPipeline va(dubins_problem(pool_a, original), {});
+  QuadPipeline vb(dubins_problem(pool_b, loaded), {});
+  const core::VerifyResult ra = va.run();
+  const core::VerifyResult rb = vb.run();
   ASSERT_TRUE(ra.safe());
   ASSERT_TRUE(rb.safe());
   EXPECT_EQ(ra.generator->coeffs().raw(), rb.generator->coeffs().raw());
@@ -69,8 +70,8 @@ TEST(Integration, TrainedControllerVerifies) {
   const dubins::TrainResult tr = train_controller(path, topts);
 
   expr::ExprPool pool;
-  core::BarrierVerifier verifier(dubins_problem(pool, tr.controller), {});
-  const core::VerifyResult r = verifier.verify();
+  QuadPipeline verifier(dubins_problem(pool, tr.controller), {});
+  const core::VerifyResult r = verifier.run();
   EXPECT_EQ(r.status, core::VerifyStatus::kSafe)
       << verify_status_name(r.status);
 }
@@ -111,8 +112,8 @@ TEST(Integration, PendulumSecondDomainVerifies) {
 
   core::VerifierOptions opts;
   opts.trace_duration = 20.0;
-  core::BarrierVerifier verifier(p, opts);
-  const core::VerifyResult r = verifier.verify();
+  QuadPipeline verifier(p, opts);
+  const core::VerifyResult r = verifier.run();
   ASSERT_EQ(r.status, core::VerifyStatus::kSafe)
       << verify_status_name(r.status);
 
@@ -140,15 +141,15 @@ TEST(Integration, AdaptiveDeltaRescuesCoarseDelta) {
   coarse.icp.delta = 5e-2;
   coarse.adaptive_delta = false;
   coarse.max_candidate_iterations = 3;
-  core::BarrierVerifier va(dubins_problem(pool_a, controller), coarse);
-  const core::VerifyResult ra = va.verify();
+  QuadPipeline va(dubins_problem(pool_a, controller), coarse);
+  const core::VerifyResult ra = va.run();
   EXPECT_NE(ra.status, core::VerifyStatus::kSafe);
 
   expr::ExprPool pool_b;
   core::VerifierOptions adaptive = coarse;
   adaptive.adaptive_delta = true;
-  core::BarrierVerifier vb(dubins_problem(pool_b, controller), adaptive);
-  const core::VerifyResult rb = vb.verify();
+  QuadPipeline vb(dubins_problem(pool_b, controller), adaptive);
+  const core::VerifyResult rb = vb.run();
   EXPECT_EQ(rb.status, core::VerifyStatus::kSafe)
       << verify_status_name(rb.status);
 }
@@ -160,8 +161,8 @@ TEST(Integration, SolverBudgetReportedHonestly) {
   core::VerifierOptions opts;
   opts.icp.max_boxes = 10;  // absurdly small budget
   opts.adaptive_delta = false;
-  core::BarrierVerifier verifier(dubins_problem(pool, controller), opts);
-  const core::VerifyResult r = verifier.verify();
+  QuadPipeline verifier(dubins_problem(pool, controller), opts);
+  const core::VerifyResult r = verifier.run();
   EXPECT_EQ(r.status, core::VerifyStatus::kSolverBudget);
 }
 
@@ -169,8 +170,8 @@ TEST(Integration, TimingColumnsAreConsistent) {
   const nn::FeedforwardNet controller =
       dubins::distill_controller(dubins::proportional_teacher(), 10, 9);
   expr::ExprPool pool;
-  core::BarrierVerifier verifier(dubins_problem(pool, controller), {});
-  const core::VerifyResult r = verifier.verify();
+  QuadPipeline verifier(dubins_problem(pool, controller), {});
+  const core::VerifyResult r = verifier.run();
   ASSERT_TRUE(r.safe());
   const core::VerifyTimings& t = r.timings;
   EXPECT_GT(t.lp_solves, 0);
@@ -187,8 +188,8 @@ TEST(Integration, CheckCertificateAuditsStoredPair) {
   const nn::FeedforwardNet controller =
       dubins::distill_controller(dubins::proportional_teacher(), 10, 42);
   expr::ExprPool pool;
-  core::BarrierVerifier verifier(dubins_problem(pool, controller), {});
-  const core::VerifyResult r = verifier.verify();
+  QuadPipeline verifier(dubins_problem(pool, controller), {});
+  const core::VerifyResult r = verifier.run();
   ASSERT_TRUE(r.safe());
 
   // The synthesized pair re-checks clean.
@@ -228,8 +229,8 @@ TEST(Integration, ThetaRInvariance) {
     p.sym_field = dubins::closed_loop_field_expr(model, controller, pool);
     p.initial_set = {{-1.0, -kPi / 16.0}, {1.0, kPi / 16.0}};
     p.safe_rect = {{-5.0, -(kPi / 2.0 - 0.01)}, {5.0, kPi / 2.0 - 0.01}};
-    core::BarrierVerifier verifier(p, {});
-    const core::VerifyResult r = verifier.verify();
+    QuadPipeline verifier(p, {});
+    const core::VerifyResult r = verifier.run();
     ASSERT_TRUE(r.safe()) << "theta_r = " << theta_r << ": "
                           << verify_status_name(r.status);
     if (!level0) {
@@ -244,8 +245,8 @@ TEST(Integration, SmtLibQueryExport) {
   const nn::FeedforwardNet controller =
       dubins::distill_controller(dubins::proportional_teacher(), 10, 42);
   expr::ExprPool pool;
-  core::BarrierVerifier verifier(dubins_problem(pool, controller), {});
-  const core::VerifyResult r = verifier.verify();
+  QuadPipeline verifier(dubins_problem(pool, controller), {});
+  const core::VerifyResult r = verifier.run();
   ASSERT_TRUE(r.safe());
   const std::string prefix =
       ::testing::TempDir() + "/bcert_query";
@@ -276,8 +277,8 @@ TEST(Integration, LpInfeasibleSurfacesBindingStates) {
   expr::ExprPool pool;
   core::VerifierOptions opts;
   opts.max_candidate_iterations = 2;
-  core::BarrierVerifier verifier(dubins_problem(pool, bad), opts);
-  const core::VerifyResult r = verifier.verify();
+  QuadPipeline verifier(dubins_problem(pool, bad), opts);
+  const core::VerifyResult r = verifier.run();
   if (r.status == core::VerifyStatus::kLpInfeasible) {
     EXPECT_FALSE(r.counterexamples.empty());
     for (const Vector& cex : r.counterexamples) {
@@ -295,8 +296,8 @@ TEST(Integration, CertificateScalingInvariance) {
       dubins::distill_controller(dubins::proportional_teacher(), 10, 21);
   expr::ExprPool pool;
   const core::BarrierProblem problem = dubins_problem(pool, controller);
-  core::BarrierVerifier verifier(problem, {});
-  const core::VerifyResult r = verifier.verify();
+  QuadPipeline verifier(problem, {});
+  const core::VerifyResult r = verifier.run();
   ASSERT_TRUE(r.safe());
   core::QuadraticForm scaled(2, r.generator->coeffs() * 0.5);
   for (const Vector& v : problem.initial_set.vertices()) {

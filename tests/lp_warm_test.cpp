@@ -9,7 +9,7 @@
 //   * LpWarm        — warm-started solves must equal cold solves across
 //                     append-only LP sequences, including a recorded
 //                     verifier candidate-loop sequence and the full
-//                     BarrierVerifier pipeline warm vs cold.
+//                     BarrierPipeline<QuadraticForm> pipeline warm vs cold.
 #include <cmath>
 #include <random>
 
@@ -17,7 +17,7 @@
 
 #include "bench/bench_common.h"
 #include "src/core/lp_synthesis.h"
-#include "src/core/verifier.h"
+#include "src/core/pipeline.h"
 #include "src/dubins/training.h"
 #include "src/lp/problem.h"
 #include "src/lp/simplex.h"
@@ -27,6 +27,7 @@ namespace bcert::lp {
 namespace {
 
 using linalg::Vector;
+using QuadPipeline = core::BarrierPipeline<core::QuadraticForm>;
 
 // --- helpers ----------------------------------------------------------------
 
@@ -332,7 +333,7 @@ TEST(LpWarm, RecordedVerifierLpSequence) {
   const nn::FeedforwardNet net =
       dubins::distill_controller(dubins::proportional_teacher(), 10, 42);
   core::BarrierProblem problem = bench::make_problem(pool, net);
-  core::BarrierVerifier verifier(std::move(problem), {});
+  QuadPipeline verifier(std::move(problem), {});
 
   std::vector<core::FieldSample> samples;
   const auto states = verifier.random_initial_states(10, 1);
@@ -374,12 +375,10 @@ TEST(LpWarm, FullVerifierWarmMatchesCold) {
   core::VerifierOptions cold_opts;
   cold_opts.synthesis.warm_start = false;
 
-  core::BarrierVerifier warm_verifier(bench::make_problem(pool, net),
-                                      warm_opts);
-  core::VerifyResult warm = warm_verifier.verify();
-  core::BarrierVerifier cold_verifier(bench::make_problem(pool, net),
-                                      cold_opts);
-  core::VerifyResult cold = cold_verifier.verify();
+  QuadPipeline warm_verifier(bench::make_problem(pool, net), warm_opts);
+  core::VerifyResult warm = warm_verifier.run();
+  QuadPipeline cold_verifier(bench::make_problem(pool, net), cold_opts);
+  core::VerifyResult cold = cold_verifier.run();
 
   EXPECT_EQ(warm.status, cold.status)
       << core::verify_status_name(warm.status) << " vs "

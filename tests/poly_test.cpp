@@ -5,8 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/poly_verifier.h"
-#include "src/core/verifier.h"
+#include "src/core/pipeline.h"
 #include "src/dubins/error_dynamics.h"
 #include "src/dubins/training.h"
 #include "src/expr/eval.h"
@@ -142,10 +141,9 @@ TEST(PolyVerifier, QuarticTemplateCertifiesDubins) {
   expr::ExprPool pool;
   const nn::FeedforwardNet controller =
       dubins::distill_controller(dubins::proportional_teacher(), 10, 42);
-  PolyVerifierOptions opts;
-  opts.max_degree = 4;
-  PolyBarrierVerifier verifier(dubins_problem(pool, controller), opts);
-  const PolyVerifyResult r = verifier.verify();
+  BarrierPipeline<PolynomialForm> verifier(dubins_problem(pool, controller),
+                                           {}, TemplateSpec::polynomial(4));
+  const VerifyResult r = verifier.run();
   ASSERT_EQ(r.status, VerifyStatus::kSafe) << verify_status_name(r.status);
   ASSERT_TRUE(r.poly_generator.has_value());
   EXPECT_GT(r.level, 0.0);
@@ -166,12 +164,11 @@ TEST(PolyVerifier, DegreeTwoAgreesWithQuadraticPipeline) {
   expr::ExprPool pool_a, pool_b;
   const nn::FeedforwardNet controller =
       dubins::distill_controller(dubins::proportional_teacher(), 10, 7);
-  PolyVerifierOptions popts;
-  popts.max_degree = 2;
-  PolyBarrierVerifier pv(dubins_problem(pool_a, controller), popts);
-  BarrierVerifier qv(dubins_problem(pool_b, controller), {});
-  const PolyVerifyResult pr = pv.verify();
-  const VerifyResult qr = qv.verify();
+  BarrierPipeline<PolynomialForm> pv(dubins_problem(pool_a, controller), {},
+                                      TemplateSpec::polynomial(2));
+  BarrierPipeline<QuadraticForm> qv(dubins_problem(pool_b, controller), {});
+  const VerifyResult pr = pv.run();
+  const VerifyResult qr = qv.run();
   EXPECT_EQ(pr.status, VerifyStatus::kSafe);
   EXPECT_EQ(qr.status, VerifyStatus::kSafe);
   // Identical samples + identical basis ⇒ identical LP candidate.
@@ -185,11 +182,10 @@ TEST(PolyVerifier, CertificateInvariantUnderSimulation) {
   expr::ExprPool pool;
   const nn::FeedforwardNet controller =
       dubins::distill_controller(dubins::proportional_teacher(), 20, 2);
-  PolyVerifierOptions opts;
-  opts.max_degree = 4;
   const BarrierProblem problem = dubins_problem(pool, controller);
-  PolyBarrierVerifier verifier(problem, opts);
-  const PolyVerifyResult r = verifier.verify();
+  BarrierPipeline<PolynomialForm> verifier(problem, {},
+                                           TemplateSpec::polynomial(4));
+  const VerifyResult r = verifier.run();
   ASSERT_TRUE(r.safe()) << verify_status_name(r.status);
   for (const Vector& v : problem.initial_set.vertices()) {
     ode::IntegrateOptions iopts;

@@ -3,8 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/pipeline.h"
 #include "src/core/report.h"
-#include "src/core/verifier.h"
 #include "src/dubins/error_dynamics.h"
 #include "src/dubins/training.h"
 
@@ -29,8 +29,8 @@ struct Fixture {
     problem.initial_set = {{-1.0, -kPi / 16.0}, {1.0, kPi / 16.0}};
     problem.safe_rect = {{-5.0, -(kPi / 2.0 - 0.01)},
                          {5.0, kPi / 2.0 - 0.01}};
-    BarrierVerifier verifier(problem, {});
-    result = verifier.verify();
+    BarrierPipeline<QuadraticForm> verifier(problem, {});
+    result = verifier.run();
   }
 };
 

@@ -12,16 +12,13 @@
 #include <gtest/gtest.h>
 
 #include "src/core/fault.h"
-#include "src/core/lp_synthesis.h"
 #include "src/parallel/thread_pool.h"
 #include "src/smt/hc4.h"
-#include "src/smt/icp_solver.h"
 
 namespace bcert {
 namespace {
 
 using core::ConfigHc4Mode;
-using core::ConfigToggle;
 using core::RuntimeConfig;
 
 /// Fixture that snapshots and clears the parsed BCERT_* variables, so
@@ -30,9 +27,9 @@ using core::RuntimeConfig;
 /// Everything is restored on teardown.
 class RuntimeConfigTest : public ::testing::Test {
  protected:
-  static constexpr const char* kVars[6] = {
-      "BCERT_THREADS", "BCERT_ICP_WARM", "BCERT_LP_WARM",
-      "BCERT_HC4_MODE", "BCERT_FAULT", "BCERT_MEM_QUOTA"};
+  static constexpr const char* kVars[5] = {
+      "BCERT_THREADS", "BCERT_HC4_MODE", "BCERT_JIT_DUMP", "BCERT_FAULT",
+      "BCERT_MEM_QUOTA"};
 
   void SetUp() override {
     for (const char* name : kVars) {
@@ -58,24 +55,21 @@ TEST_F(RuntimeConfigTest, DefaultsWhenEnvironmentUnset) {
   std::vector<std::string> warnings;
   const RuntimeConfig c = RuntimeConfig::from_env(&warnings);
   EXPECT_EQ(c.threads, 0);
-  EXPECT_EQ(c.icp_warm, ConfigToggle::kAuto);
-  EXPECT_EQ(c.lp_warm, ConfigToggle::kAuto);
   EXPECT_EQ(c.hc4_mode, ConfigHc4Mode::kTape);
+  EXPECT_FALSE(c.jit_dump);
   EXPECT_TRUE(warnings.empty());
 }
 
 TEST_F(RuntimeConfigTest, ParsesWellFormedValues) {
   setenv("BCERT_THREADS", "4", 1);
-  setenv("BCERT_ICP_WARM", "off", 1);
-  setenv("BCERT_LP_WARM", "1", 1);
   setenv("BCERT_HC4_MODE", "tree", 1);
+  setenv("BCERT_JIT_DUMP", "on", 1);
 
   std::vector<std::string> warnings;
   const RuntimeConfig c = RuntimeConfig::from_env(&warnings);
   EXPECT_EQ(c.threads, 4);
-  EXPECT_EQ(c.icp_warm, ConfigToggle::kOff);
-  EXPECT_EQ(c.lp_warm, ConfigToggle::kOn);
   EXPECT_EQ(c.hc4_mode, ConfigHc4Mode::kTree);
+  EXPECT_TRUE(c.jit_dump);
   EXPECT_TRUE(warnings.empty()) << warnings.front();
 }
 
@@ -106,20 +100,23 @@ TEST_F(RuntimeConfigTest, MalformedEnumsWarnAndFallBack) {
 }
 
 TEST_F(RuntimeConfigTest, MalformedToggleWarnsButEnables) {
-  // Legacy contract: any unrecognized non-off token enables the knob —
-  // preserved, but no longer silent.
-  setenv("BCERT_ICP_WARM", "yes-please", 1);
+  // A set-but-unrecognized BCERT_JIT_DUMP still means "dump", with a
+  // warning.
+  setenv("BCERT_JIT_DUMP", "yes-please", 1);
   std::vector<std::string> warnings;
   const RuntimeConfig c = RuntimeConfig::from_env(&warnings);
-  EXPECT_EQ(c.icp_warm, ConfigToggle::kOn);
+  EXPECT_TRUE(c.jit_dump);
   EXPECT_EQ(warnings.size(), 1u);
 }
 
 TEST_F(RuntimeConfigTest, UnknownBcertVariableWarns) {
-  // A typo, and two retired knobs (the batched ICP frontier's width and
-  // SIMD tier): a user still setting them is told they do nothing.
+  // A typo, and four retired knobs (the batched ICP frontier's width
+  // and SIMD tier, and the env overrides of IcpConfig::warm_start and
+  // SynthesisOptions::warm_start): a user still setting them is told
+  // they do nothing.
   const std::vector<std::string> names = {
-      "BCERT_ICP_BACTH", "BCERT_ICP_BATCH", "BCERT_ICP_SIMD"};
+      "BCERT_ICP_BACTH", "BCERT_ICP_BATCH", "BCERT_ICP_SIMD",
+      "BCERT_ICP_WARM", "BCERT_LP_WARM"};
   for (const std::string& name : names) setenv(name.c_str(), "8", 1);
   std::vector<std::string> warnings;
   (void)RuntimeConfig::from_env(&warnings);
@@ -246,36 +243,11 @@ TEST(RuntimeConfigOverride, ReachesThreadResolver) {
 
 TEST(RuntimeConfigOverride, ReachesIcpResolvers) {
   RuntimeConfig c = RuntimeConfig::active();
-  c.icp_warm = ConfigToggle::kOff;
   c.hc4_mode = ConfigHc4Mode::kTree;
   ScopedActiveConfig guard(c);
 
   EXPECT_EQ(smt::resolve_hc4_mode(smt::Hc4Mode::kAuto), smt::Hc4Mode::kTree);
   EXPECT_EQ(smt::resolve_hc4_mode(smt::Hc4Mode::kTape), smt::Hc4Mode::kTape);
-
-  smt::IcpConfig icp;
-  icp.unsat_cache = std::make_shared<smt::UnsatTreeCache>();
-  icp.warm_start = true;
-  EXPECT_FALSE(smt::icp_warm_enabled(icp));  // kOff overrides the flag
-}
-
-TEST(RuntimeConfigOverride, ReachesLpWarmSwitch) {
-  core::SynthesisOptions opts;
-  opts.warm_start = true;
-
-  RuntimeConfig c = RuntimeConfig::active();
-  c.lp_warm = ConfigToggle::kOff;
-  {
-    ScopedActiveConfig guard(c);
-    EXPECT_FALSE(core::lp_warm_start_enabled(opts));
-  }
-  c.lp_warm = ConfigToggle::kAuto;
-  {
-    ScopedActiveConfig guard(c);
-    EXPECT_TRUE(core::lp_warm_start_enabled(opts));
-    opts.warm_start = false;
-    EXPECT_FALSE(core::lp_warm_start_enabled(opts));
-  }
 }
 
 }  // namespace
