@@ -180,7 +180,8 @@ RuntimeConfig RuntimeConfig::from_env(std::vector<std::string>* warnings) {
       // A typo silently falling back would defeat the point of the flag
       // (e.g. comparing "tape vs tape" while debugging a divergence).
       sink.warn(std::string("unrecognized BCERT_HC4_MODE=\"") + v +
-                "\" (expected \"jit\", \"tape\" or \"tree\"); using tape");
+                "\" (expected \"jit\", \"tape\" or \"tree\"); using the "
+                "default, jit (tape where there is no native backend)");
     }
   }
   if (const char* v = std::getenv("BCERT_JIT_DUMP")) {

@@ -34,9 +34,10 @@
 namespace bcert::core {
 
 /// HC4 contractor backend selection (`BCERT_HC4_MODE`). Mirrors
-/// `smt::Hc4Mode` without depending on the smt layer. `kJit` requests
-/// the native x86-64 backend and degrades to `kTape` (bit-identically,
-/// counted as `jit_to_tape`) when emission is unavailable.
+/// `smt::Hc4Mode` without depending on the smt layer. `kJit` (the
+/// default) requests the native x86-64 backend: where the build has none
+/// it resolves to `kTape` up front, and a per-query emission failure
+/// degrades to `kTape` bit-identically, counted as `jit_to_tape`.
 enum class ConfigHc4Mode : std::uint8_t { kTape, kTree, kJit };
 
 /// Structured-log severity threshold of the `bcertd` daemon
@@ -55,7 +56,7 @@ struct RuntimeConfig {
 
   /// HC4 backend for `Hc4Mode::kAuto` contractors. Env:
   /// `BCERT_HC4_MODE` (`jit`, `tape` or `tree`).
-  ConfigHc4Mode hc4_mode = ConfigHc4Mode::kTape;
+  ConfigHc4Mode hc4_mode = ConfigHc4Mode::kJit;
 
   /// When true, tape→IR→native compilation logs the tape disassembly and
   /// the IR after every optimization pass to stderr (miscompile

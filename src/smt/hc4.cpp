@@ -34,7 +34,10 @@ Hc4Mode resolve_hc4_mode(Hc4Mode mode) {
     case core::ConfigHc4Mode::kTree:
       return Hc4Mode::kTree;
     case core::ConfigHc4Mode::kJit:
-      return Hc4Mode::kJit;
+      // Without a native backend every emission would fail; resolve to
+      // the tape up front instead of degrading (and counting jit_to_tape)
+      // on every query.
+      return jit::ExecMemory::supported() ? Hc4Mode::kJit : Hc4Mode::kTape;
     case core::ConfigHc4Mode::kTape:
       break;
   }

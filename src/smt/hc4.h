@@ -16,17 +16,20 @@
 /// box contains no solution of the conjunction.
 ///
 /// Three execution backends produce bit-identical results:
-///   * kJit (BCERT_HC4_MODE=jit): the tape is lowered through the SSA
-///     IR (src/smt/ir) and emitted as native x86-64 (src/smt/jit), with
-///     the outward rounding fused into the SSE arithmetic. When emission
-///     is impossible (non-x86-64 host, exec-mmap denied, `jit_compile`
-///     fault armed) construction degrades to kTape bit-identically.
-///   * kTape (default): the conjunction is compiled once into a flat
-///     interval bytecode tape (src/smt/tape.h) and both sweeps are tight
-///     loops over contiguous arrays — no pointer-chasing into the
-///     ExprPool. Tapes are immutable and shared across ICP workers.
+///   * kJit (default): the tape is lowered through the SSA IR
+///     (src/smt/ir) and emitted as native x86-64 (src/smt/jit), with the
+///     outward rounding fused into the SSE arithmetic. A build without a
+///     native backend resolves the default to kTape up front; when
+///     emission fails at run time (exec-mmap denied, `jit_compile` fault
+///     armed) construction degrades to kTape bit-identically.
+///   * kTape (BCERT_HC4_MODE=tape): the portable fallback. The
+///     conjunction is compiled once into a flat interval bytecode tape
+///     (src/smt/tape.h) and both sweeps are tight loops over contiguous
+///     arrays — no pointer-chasing into the ExprPool. Tapes are immutable
+///     and shared across ICP workers.
 ///   * kTree: the original per-node walk over the Evaluator schedule,
-///     kept for differential testing (BCERT_HC4_MODE=tree).
+///     kept as the reference oracle for differential testing
+///     (BCERT_HC4_MODE=tree).
 
 #include <memory>
 #include <vector>
@@ -41,7 +44,7 @@ namespace bcert::smt {
 
 /// HC4 execution backend selector. kAuto resolves through the
 /// BCERT_HC4_MODE environment variable ("jit" / "tree" / "tape"),
-/// default kTape.
+/// default kJit (kTape where the build has no native backend).
 enum class Hc4Mode : std::uint8_t { kAuto, kTape, kTree, kJit };
 
 /// Resolves kAuto against BCERT_HC4_MODE (cached after the first call).

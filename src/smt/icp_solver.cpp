@@ -123,11 +123,12 @@ void merge_stats(IcpStats& into, const IcpStats& from) {
 /// seed did.
 ///
 /// Three degradation-ladder rungs live here, all bit-identical in
-/// results: a native-emission failure falls back to the tape interpreter
-/// (`jit_to_tape`), a tape compilation failure falls back to the tree
-/// backend (`tape_to_tree`), and a tripped cache_lookup fault treats the
-/// tape-cache entry as corrupt — the conjunction recompiles cold instead
-/// of trusting the cache.
+/// results. The tape is fetched (or compiled) once; a failure there
+/// falls back to the tree backend (`tape_to_tree`). In jit mode the
+/// native code is then emitted from that same tape, and only an
+/// emission failure falls back to the tape interpreter (`jit_to_tape`).
+/// A tripped cache_lookup fault treats the tape-cache entry as corrupt —
+/// the conjunction recompiles cold instead of trusting the cache.
 struct ContractorSpec {
   const expr::ExprPool* pool = nullptr;
   const Conjunction* conjunction = nullptr;
@@ -136,42 +137,37 @@ struct ContractorSpec {
 
   ContractorSpec(const expr::ExprPool& p, const Conjunction& c,
                  const IcpConfig& config) {
-    const Hc4Mode mode = resolve_hc4_mode(config.hc4_mode);
-    if (mode == Hc4Mode::kJit || mode == Hc4Mode::kTape) {
-      try {
-        bool use_cache = config.tape_cache != nullptr;
-        if (use_cache &&
-            core::FaultRegistry::trip(core::FaultPoint::kCacheLookup)) {
-          use_cache = false;
-          if (config.degrade != nullptr) {
-            config.degrade->cache_cold.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-        if (mode == Hc4Mode::kJit) {
-          try {
-            jit = use_cache
-                      ? config.tape_cache->get_or_compile_jit(p, c)
-                      : Hc4Jit::compile(
-                            std::make_shared<const Hc4Tape>(p, c));
-            return;
-          } catch (const std::exception&) {
-            if (config.degrade != nullptr) {
-              config.degrade->jit_to_tape.fetch_add(1,
-                                                    std::memory_order_relaxed);
-            }
-          }
-        }
-        tape = use_cache ? config.tape_cache->get_or_compile(p, c)
-                         : std::make_shared<const Hc4Tape>(p, c);
-        return;
-      } catch (const std::exception&) {
-        if (config.degrade != nullptr) {
-          config.degrade->tape_to_tree.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    }
     pool = &p;
     conjunction = &c;
+    const Hc4Mode mode = resolve_hc4_mode(config.hc4_mode);
+    if (mode != Hc4Mode::kJit && mode != Hc4Mode::kTape) return;
+    bool use_cache = config.tape_cache != nullptr;
+    if (use_cache &&
+        core::FaultRegistry::trip(core::FaultPoint::kCacheLookup)) {
+      use_cache = false;
+      count(config, &core::DegradationCounters::cache_cold);
+    }
+    try {
+      tape = use_cache ? config.tape_cache->get_or_compile(p, c)
+                       : std::make_shared<const Hc4Tape>(p, c);
+    } catch (const std::exception&) {
+      count(config, &core::DegradationCounters::tape_to_tree);
+      return;
+    }
+    if (mode != Hc4Mode::kJit) return;
+    try {
+      jit = use_cache ? config.tape_cache->get_or_compile_jit(tape)
+                      : Hc4Jit::compile(tape);
+    } catch (const std::exception&) {
+      count(config, &core::DegradationCounters::jit_to_tape);
+    }
+  }
+
+  using Rung = std::atomic<std::uint32_t> core::DegradationCounters::*;
+  static void count(const IcpConfig& config, Rung rung) {
+    if (config.degrade != nullptr) {
+      (config.degrade->*rung).fetch_add(1, std::memory_order_relaxed);
+    }
   }
 
   Hc4Contractor make() const {

@@ -89,15 +89,17 @@ struct IcpConfig {
   /// Branch-and-prune parallelism: 0 = auto (BCERT_THREADS / hardware),
   /// 1 = sequential (bit-identical to the classic solver), N = N workers.
   int threads = 0;
-  /// HC4 backend: kAuto honors BCERT_HC4_MODE (default: compiled tape).
-  /// With the tape backend the conjunction is compiled once per query
-  /// and shared read-only by all workers, each holding only a private
+  /// HC4 backend: kAuto honors BCERT_HC4_MODE (default: native jit,
+  /// compiled tape where the build has no native backend). With the jit
+  /// and tape backends the conjunction is compiled once per query and
+  /// shared read-only by all workers, each holding only a private
   /// interval register file.
   Hc4Mode hc4_mode = Hc4Mode::kAuto;
   /// Optional cross-query tape cache (multi-query ICP): when set,
-  /// compiled tapes are reused for repeated conjunction signatures —
-  /// e.g. the verifier's adaptive-δ re-checks of the same query. Must
-  /// not outlive the ExprPool it caches for.
+  /// compiled tapes (and the native code emitted from them) are reused
+  /// for repeated conjunction signatures — e.g. the verifier's
+  /// adaptive-δ re-checks of the same query. Must not outlive the
+  /// ExprPool it caches for.
   std::shared_ptr<TapeCache> tape_cache;
   /// UNSAT-tree warm-starting across structurally identical queries:
   /// the one switch for it, active only when `unsat_cache` is set.

@@ -29,8 +29,8 @@
 ///
 /// A compiled jit is immutable and holds no mutable scratch: concurrent
 /// workers share one `const Hc4Jit` and keep private register files,
-/// exactly like the tape. `TapeCache::get_or_compile_jit` reuses the
-/// tape's structural signature to share compilations across queries.
+/// exactly like the tape. `TapeCache::get_or_compile_jit` keys
+/// compilations by their cached tape to share them across queries.
 
 #include <cstddef>
 #include <memory>

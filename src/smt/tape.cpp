@@ -499,14 +499,11 @@ void TapeCache::import_entries(std::vector<WarmEntry> entries) {
 }
 
 std::shared_ptr<const Hc4Jit> TapeCache::get_or_compile_jit(
-    const expr::ExprPool& pool, const Conjunction& c) {
-  Signature sig = signature_of(pool, c);
-  if (auto jit = jits_.get(sig)) return jit;
-  // The jit is a pure function of the tape, so reuse (or populate) the
-  // tape store first, then emit outside the lock. Emission failures
-  // propagate and cache nothing.
-  auto jit = Hc4Jit::compile(get_or_compile(pool, c));
-  return jits_.put(std::move(sig), std::move(jit), /*replace=*/false);
+    const std::shared_ptr<const Hc4Tape>& tape) {
+  if (auto jit = jits_.get(tape.get())) return jit;
+  // Emit outside the lock; failures propagate and cache nothing.
+  auto jit = Hc4Jit::compile(tape);
+  return jits_.put(tape.get(), std::move(jit), /*replace=*/false);
 }
 
 }  // namespace bcert::smt

@@ -25,6 +25,7 @@
 /// kernels (src/smt/tape_kernels.h) sweep and what the native backend
 /// (src/smt/jit) compiles.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
@@ -211,26 +212,38 @@ class Hc4Tape {
 /// the least-recently-used tapes keeps exactly the live working set —
 /// current candidate × a few check kinds — resident. `stats()` exposes
 /// hit/miss/eviction counters.
+///
+/// Native compilations live in a second, smaller LRU keyed by the tape
+/// they were emitted from. A jit's machine code is an order of magnitude
+/// larger than its tape, and the working set that actually hits is
+/// small, so the native store is capped at `kMaxJitEntries` while the
+/// tape store keeps `kMaxEntries` for the warm-state snapshot. Every
+/// jit lookup starts from a tape lookup, so the tape store's counters
+/// and most-recently-used order describe every query, whichever backend
+/// then runs it.
 class TapeCache {
  public:
-  /// Default LRU capacity (entries, not bytes).
+  /// Default LRU capacity of the tape store (entries, not bytes).
   static constexpr std::size_t kMaxEntries = 64;
+  /// Capacity cap of the native-code store.
+  static constexpr std::size_t kMaxJitEntries = 16;
 
   explicit TapeCache(std::size_t capacity = kMaxEntries)
-      : tapes_(capacity), jits_(capacity) {}
+      : tapes_(capacity), jits_(std::min(capacity, kMaxJitEntries)) {}
 
   /// Returns the cached tape for \p c over \p pool, compiling on miss.
   std::shared_ptr<const Hc4Tape> get_or_compile(const expr::ExprPool& pool,
                                                 const Conjunction& c);
 
-  /// Returns the cached native compilation for \p c over \p pool,
-  /// running tape → IR → x86-64 emission on miss. Shares the same
-  /// structural signature as the tape store (the jit is a pure function
-  /// of the tape). Throws (JitUnavailable, FaultInjected, ...) when
+  /// Returns the cached native compilation of \p tape (normally one
+  /// `get_or_compile` just returned, which counted the lookup and
+  /// refreshed the tape's LRU entry), running tape → IR → x86-64
+  /// emission on miss. Throws (JitUnavailable, FaultInjected, ...) when
   /// emission is impossible; failures are never cached, so a transient
-  /// armed `jit_compile` fault does not poison later lookups.
-  std::shared_ptr<const Hc4Jit> get_or_compile_jit(const expr::ExprPool& pool,
-                                                   const Conjunction& c);
+  /// armed `jit_compile` fault does not poison later lookups. A cached
+  /// jit holds its tape, so a key can never name a dead tape.
+  std::shared_ptr<const Hc4Jit> get_or_compile_jit(
+      const std::shared_ptr<const Hc4Tape>& tape);
 
   std::size_t size() const { return tapes_.size(); }
 
@@ -282,7 +295,7 @@ class TapeCache {
   };
 
   KeyedLruCache<Signature, const CachedTape> tapes_;
-  KeyedLruCache<Signature, const Hc4Jit> jits_;
+  KeyedLruCache<const Hc4Tape*, const Hc4Jit> jits_;
   mutable std::mutex warm_mutex_;
   std::map<Sig128, std::shared_ptr<const Hc4Tape>> warm_;
   std::atomic<std::uint64_t> warm_restores_{0};

@@ -2,8 +2,8 @@
 // deterministic registry itself (spec grammar, exact-hit / every-N
 // triggers, delay actions), the per-job resource governor
 // (MemoryBudget + kResourceExhausted), the degradation ladder
-// (tape → tree, cache trip → cold start — each degraded run must be
-// bit-identical to the matching clean fallback configuration), the
+// (jit → tape, tape → tree, cache trip → cold start — each degraded run
+// must be bit-identical to the matching clean fallback configuration), the
 // campaign isolation/retry/quarantine machinery, and the JSON error
 // reporting with full string escaping.
 #include "src/core/fault.h"
@@ -18,6 +18,7 @@
 #include "src/core/report.h"
 #include "src/core/runtime_config.h"
 #include "src/lp/simplex.h"
+#include "src/smt/hc4.h"
 
 namespace bcert::core {
 namespace {
@@ -268,6 +269,75 @@ TEST(DegradationLadder, TapeFaultMatchesTreeModeBitIdentical) {
   expect_bit_identical(tree_result, faulted);
   EXPECT_GT(faulted.degradation.tape_to_tree, 0u);
   EXPECT_TRUE(faulted.error.ok());  // degraded, not failed
+}
+
+// The ladder attributes each failure to the rung that failed. Under the
+// default backend (the native one where the build has it) a failing
+// tape compile is a tape failure: straight to the tree backend, never a
+// jit_to_tape, and bit-identical to tree mode.
+TEST(DegradationLadder, TapeFaultUnderDefaultBackendIsOneTreeRung) {
+  RuntimeConfig tree = RuntimeConfig::active();
+  tree.fault_spec.clear();
+  tree.hc4_mode = ConfigHc4Mode::kTree;
+  RuntimeConfig defaults = tree;
+  defaults.hc4_mode = RuntimeConfig{}.hc4_mode;
+
+  expr::ExprPool pool_a;
+  VerifyResult tree_result;
+  {
+    ScopedActiveConfig guard(tree);
+    Engine engine(serial_engine());
+    tree_result =
+        engine.verify(linear_problem(pool_a), deterministic_options());
+  }
+  ASSERT_TRUE(tree_result.safe()) << verify_status_name(tree_result.status);
+
+  expr::ExprPool pool_b;
+  VerifyResult faulted;
+  {
+    ScopedActiveConfig guard(defaults);
+    ScopedFaultSpec spec("tape_compile:throw");  // every compile fails
+    Engine engine(serial_engine());
+    faulted = engine.verify(linear_problem(pool_b), deterministic_options());
+  }
+  expect_bit_identical(tree_result, faulted);
+  EXPECT_GT(faulted.degradation.tape_to_tree, 0u);
+  EXPECT_EQ(faulted.degradation.jit_to_tape, 0u);
+  EXPECT_TRUE(faulted.error.ok());
+}
+
+// A failing native emission falls back to the very tape it was emitted
+// from: no tape_to_tree, and every distinct tape is compiled once — the
+// fallback never compiles it a second time.
+TEST(DegradationLadder, JitFaultReusesTheFetchedTape) {
+  RuntimeConfig defaults = RuntimeConfig::active();
+  defaults.fault_spec.clear();
+  defaults.hc4_mode = RuntimeConfig{}.hc4_mode;
+  ScopedActiveConfig guard(defaults);
+
+  expr::ExprPool pool_a;
+  Engine clean(serial_engine());
+  const VerifyResult baseline =
+      clean.verify(linear_problem(pool_a), deterministic_options());
+  ASSERT_TRUE(baseline.safe()) << verify_status_name(baseline.status);
+
+  expr::ExprPool pool_b;
+  Engine engine(serial_engine());
+  ScopedFaultSpec spec("jit_compile:throw");  // every emission fails
+  const VerifyResult faulted =
+      engine.verify(linear_problem(pool_b), deterministic_options());
+  expect_bit_identical(baseline, faulted);
+  EXPECT_EQ(faulted.degradation.tape_to_tree, 0u);
+  if (smt::resolve_hc4_mode(smt::Hc4Mode::kAuto) == smt::Hc4Mode::kJit) {
+    EXPECT_GT(faulted.degradation.jit_to_tape, 0u);
+  }
+  const smt::KeyedCacheStats tapes = engine.tape_cache().stats();
+  EXPECT_GT(tapes.insertions, 0u);
+  EXPECT_EQ(FaultRegistry::hits(FaultPoint::kTapeCompile), tapes.insertions);
+  // One tape-store lookup per query, exactly as in the clean run.
+  const smt::KeyedCacheStats clean_tapes = clean.tape_cache().stats();
+  EXPECT_EQ(tapes.hits, clean_tapes.hits);
+  EXPECT_EQ(tapes.misses, clean_tapes.misses);
 }
 
 // A tripped cache lookup must behave exactly like the cold-start path

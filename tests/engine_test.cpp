@@ -153,21 +153,28 @@ TEST(Engine, CampaignSharesCachesAcrossScenarios) {
   ASSERT_TRUE(first.safe()) << verify_status_name(first.status);
 
   const smt::KeyedCacheStats tape_before = engine.tape_cache().stats();
+  const smt::KeyedCacheStats jit_before = engine.tape_cache().jit_stats();
   const smt::KeyedCacheStats unsat_before = engine.unsat_cache().stats();
 
   const VerifyResult second = engine.verify(problem, opts);
   ASSERT_TRUE(second.safe()) << verify_status_name(second.status);
 
   const smt::KeyedCacheStats tape_after = engine.tape_cache().stats();
+  const smt::KeyedCacheStats jit_after = engine.tape_cache().jit_stats();
   const smt::KeyedCacheStats unsat_after = engine.unsat_cache().stats();
 
   // Cross-scenario reuse: the second scenario hit both caches (the
-  // tape cache only participates when the tape backend is active —
-  // under BCERT_HC4_MODE=tree nothing compiles tapes at all)...
-  if (smt::resolve_hc4_mode(smt::Hc4Mode::kAuto) == smt::Hc4Mode::kTape) {
+  // tape cache participates under the jit and tape backends — under
+  // BCERT_HC4_MODE=tree nothing compiles tapes at all)...
+  const smt::Hc4Mode mode = smt::resolve_hc4_mode(smt::Hc4Mode::kAuto);
+  if (mode == smt::Hc4Mode::kJit || mode == smt::Hc4Mode::kTape) {
     EXPECT_GT(tape_after.hits, tape_before.hits);
-    // ...and compiled no new tapes (every conjunction was cached).
+    // ...and compiled no new tapes (every conjunction was cached)...
     EXPECT_EQ(tape_after.insertions, tape_before.insertions);
+  }
+  // ...and, on the native backend, reused emitted code too.
+  if (mode == smt::Hc4Mode::kJit) {
+    EXPECT_GT(jit_after.hits, jit_before.hits);
   }
   // ...and replayed UNSAT trees from the first scenario.
   EXPECT_GT(unsat_after.hits, unsat_before.hits);

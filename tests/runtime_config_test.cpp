@@ -55,7 +55,7 @@ TEST_F(RuntimeConfigTest, DefaultsWhenEnvironmentUnset) {
   std::vector<std::string> warnings;
   const RuntimeConfig c = RuntimeConfig::from_env(&warnings);
   EXPECT_EQ(c.threads, 0);
-  EXPECT_EQ(c.hc4_mode, ConfigHc4Mode::kTape);
+  EXPECT_EQ(c.hc4_mode, ConfigHc4Mode::kJit);
   EXPECT_FALSE(c.jit_dump);
   EXPECT_TRUE(warnings.empty());
 }
@@ -95,8 +95,10 @@ TEST_F(RuntimeConfigTest, MalformedEnumsWarnAndFallBack) {
   setenv("BCERT_HC4_MODE", "tapee", 1);
   std::vector<std::string> warnings;
   const RuntimeConfig c = RuntimeConfig::from_env(&warnings);
-  EXPECT_EQ(c.hc4_mode, ConfigHc4Mode::kTape);
-  EXPECT_EQ(warnings.size(), 1u);
+  EXPECT_EQ(c.hc4_mode, ConfigHc4Mode::kJit);  // the library default
+  ASSERT_EQ(warnings.size(), 1u);
+  EXPECT_NE(warnings[0].find("using the default, jit"), std::string::npos)
+      << warnings[0];
 }
 
 TEST_F(RuntimeConfigTest, MalformedToggleWarnsButEnables) {
@@ -248,6 +250,18 @@ TEST(RuntimeConfigOverride, ReachesIcpResolvers) {
 
   EXPECT_EQ(smt::resolve_hc4_mode(smt::Hc4Mode::kAuto), smt::Hc4Mode::kTree);
   EXPECT_EQ(smt::resolve_hc4_mode(smt::Hc4Mode::kTape), smt::Hc4Mode::kTape);
+}
+
+// The library default is the native backend; a build without one
+// resolves it to the tape up front rather than failing every emission.
+TEST(RuntimeConfigOverride, DefaultResolvesToJitWhereSupported) {
+  RuntimeConfig c = RuntimeConfig::active();
+  c.hc4_mode = RuntimeConfig{}.hc4_mode;
+  ScopedActiveConfig guard(c);
+
+  EXPECT_EQ(smt::resolve_hc4_mode(smt::Hc4Mode::kAuto),
+            smt::jit::ExecMemory::supported() ? smt::Hc4Mode::kJit
+                                              : smt::Hc4Mode::kTape);
 }
 
 }  // namespace

@@ -318,8 +318,9 @@ TEST(Hc4JitDiff, SharedJitPrivateRegisters) {
   }
 }
 
-/// The multi-query cache keys compilations by the tape's structural
-/// signature: repeated conjunctions share one Hc4Jit (and its tape).
+/// The multi-query cache keys native compilations by the cached tape
+/// they were emitted from: repeated conjunctions share one tape, hence
+/// one Hc4Jit.
 TEST(Hc4JitDiff, TapeCacheReusesCompiledJits) {
   if (!jit_supported()) GTEST_SKIP() << "no native backend on this host";
   ExprPool pool;
@@ -330,9 +331,12 @@ TEST(Hc4JitDiff, TapeCacheReusesCompiledJits) {
   other.add(pool.add(pool.sqr(pool.var(0)), pool.var(1)), Rel::kGe);
 
   TapeCache cache;
-  const auto j1 = cache.get_or_compile_jit(pool, c);
-  const auto j2 = cache.get_or_compile_jit(pool, same);
-  const auto j3 = cache.get_or_compile_jit(pool, other);
+  const auto jit_of = [&](const Conjunction& q) {
+    return cache.get_or_compile_jit(cache.get_or_compile(pool, q));
+  };
+  const auto j1 = jit_of(c);
+  const auto j2 = jit_of(same);
+  const auto j3 = jit_of(other);
   EXPECT_EQ(j1.get(), j2.get());
   EXPECT_NE(j1.get(), j3.get());
   EXPECT_EQ(cache.jit_stats().misses, 2u);
@@ -347,6 +351,80 @@ TEST(Hc4JitDiff, TapeCacheReusesCompiledJits) {
   EXPECT_EQ(hc4.contract(box), ContractResult::kContracted);
   EXPECT_LE(box[0].hi(), 2.0 + 1e-9);
   EXPECT_GE(box[0].lo(), -2.0 - 1e-9);
+}
+
+/// Distinct conjunctions x0² + x1 ≤ i, i = 0..n-1 (fresh constants, so
+/// fresh signatures).
+std::vector<Conjunction> distinct_conjunctions(ExprPool& pool, int n) {
+  std::vector<Conjunction> out(n);
+  for (int i = 0; i < n; ++i) {
+    out[i].add(pool.sub(pool.add(pool.sqr(pool.var(0)), pool.var(1)),
+                        pool.constant(static_cast<double>(i))),
+               Rel::kLe);
+  }
+  return out;
+}
+
+/// Root of the most recently used tape in \p cache's warm-state export.
+ExprId front_root(const TapeCache& cache) {
+  return cache.export_entries().front().tape->conjunction().constraints[0].lhs;
+}
+
+/// A query served from the native store is still one tape-store lookup:
+/// a repeated jit query counts exactly one tape-store hit and moves its
+/// tape to the front of the snapshot's most-recently-used order.
+TEST(Hc4JitDiff, JitHitCountsOneTapeStoreHit) {
+  if (!jit_supported()) GTEST_SKIP() << "no native backend on this host";
+  ExprPool pool;
+  const std::vector<Conjunction> qs = distinct_conjunctions(pool, 2);
+  auto cache = std::make_shared<TapeCache>();
+  IcpConfig config;
+  config.delta = 1e-2;
+  config.threads = 1;
+  config.hc4_mode = Hc4Mode::kJit;
+  config.tape_cache = cache;
+  const IcpSolver solver(pool, config);
+  const Box box = Box::from_bounds({{-2.0, 2.0}, {-2.0, 2.0}});
+
+  const IcpResult first = solver.solve(qs[0], box);
+  solver.solve(qs[1], box);  // qs[1] is now the most recent tape
+  EXPECT_EQ(cache->stats().misses, 2u);
+  EXPECT_EQ(cache->stats().hits, 0u);
+  EXPECT_EQ(front_root(*cache), qs[1].constraints[0].lhs);
+
+  const IcpResult again = solver.solve(qs[0], box);
+  EXPECT_EQ(cache->jit_stats().hits, 1u);
+  EXPECT_EQ(cache->jit_stats().misses, 2u);
+  EXPECT_EQ(cache->stats().hits, 1u);
+  EXPECT_EQ(cache->stats().misses, 2u);
+  EXPECT_EQ(front_root(*cache), qs[0].constraints[0].lhs);
+  EXPECT_EQ(first.verdict, again.verdict);
+  EXPECT_EQ(first.stats.boxes_processed, again.stats.boxes_processed);
+}
+
+/// The native store holds at most kMaxJitEntries compilations while the
+/// tape store (and so the warm-state export) keeps up to kMaxEntries.
+TEST(Hc4JitDiff, JitStoreIsCappedBelowTapeStore) {
+  if (!jit_supported()) GTEST_SKIP() << "no native backend on this host";
+  static_assert(TapeCache::kMaxJitEntries < TapeCache::kMaxEntries);
+  constexpr int kQueries = TapeCache::kMaxEntries + 6;
+  ExprPool pool;
+  const std::vector<Conjunction> qs = distinct_conjunctions(pool, kQueries);
+  TapeCache cache;
+  for (int i = 0; i < kQueries; ++i) {
+    cache.get_or_compile_jit(cache.get_or_compile(pool, qs[i]));
+    ASSERT_EQ(cache.export_entries().size(),
+              std::min<std::size_t>(i + 1, TapeCache::kMaxEntries))
+        << "after query " << i;
+  }
+  EXPECT_EQ(cache.jit_stats().entries, TapeCache::kMaxJitEntries);
+  EXPECT_EQ(cache.jit_stats().capacity, TapeCache::kMaxJitEntries);
+  EXPECT_EQ(cache.jit_stats().evictions,
+            kQueries - TapeCache::kMaxJitEntries);
+  EXPECT_EQ(cache.stats().entries, TapeCache::kMaxEntries);
+
+  // The export is the tape store alone, most recent first.
+  EXPECT_EQ(front_root(cache), qs.back().constraints[0].lhs);
 }
 
 /// Armed `jit_compile` fault: compile() throws, the contractor degrades
