@@ -339,8 +339,9 @@ std::vector<linalg::Vector> BarrierPipeline<Form>::random_initial_states(
 }
 
 template <typename Form>
-smt::IcpResult BarrierPipeline<Form>::check_decrease(const Form& w,
-                                                     double delta) const {
+smt::IcpResult BarrierPipeline<Form>::check_decrease(
+    const Form& w, double delta,
+    std::shared_ptr<smt::IcpSuspension> resume) const {
   expr::ExprPool& pool = *problem_.pool;
   const expr::ExprId w_expr = w.to_expr(pool);
   const expr::ExprId lie =
@@ -355,7 +356,28 @@ smt::IcpResult BarrierPipeline<Form>::check_decrease(const Form& w,
           .conjoin(smt::Dnf::single(std::move(decrease)));
 
   smt::IcpSolver solver(pool, icp_config(delta));
-  return solver.solve(query, problem_.safe_rect.as_box());
+  return solver.solve(query, problem_.safe_rect.as_box(), std::move(resume));
+}
+
+template <typename Form>
+smt::IcpResult BarrierPipeline<Form>::refine_decrease(const Form& w,
+                                                      int* queries) const {
+  smt::IcpResult check = check_decrease(w);
+  int made = 1;
+  // δ-refinement: re-query with tighter δ while the witness is a
+  // spurious artifact of interval slack (numeric Lie below −γ).
+  double delta = options_.icp.delta;
+  while (options_.adaptive_delta &&
+         check.verdict == smt::SatResult::kDeltaSat &&
+         delta > options_.min_delta &&
+         numeric_lie(w, check.witness_point()) < -options_.gamma) {
+    delta *= options_.delta_shrink;
+    check = check_decrease(w, delta, std::move(check.suspension));
+    ++made;
+  }
+  check.suspension.reset();
+  if (queries != nullptr) *queries += made;
+  return check;
 }
 
 template <typename Form>
@@ -439,7 +461,7 @@ VerifyStatus BarrierPipeline<Form>::check_certificate(const Form& w,
   if (!Traits::certificate_admissible(w, level)) {
     return VerifyStatus::kLevelSetFailed;
   }
-  const smt::IcpResult decrease = check_decrease(w);
+  const smt::IcpResult decrease = refine_decrease(w);
   if (decrease.verdict == smt::SatResult::kUnknown) {
     return VerifyStatus::kSolverBudget;
   }
@@ -641,20 +663,8 @@ VerifyResult BarrierPipeline<Form>::run_impl() {
     Traits::store_generator(result, *synth.candidate);
 
     const auto t_smt = clock::now();
-    smt::IcpResult check = check_decrease(*synth.candidate);
-    ++result.timings.smt5_queries;
-    // δ-refinement: re-query with tighter δ while the witness is a
-    // spurious artifact of interval slack (numeric Lie below −γ).
-    double delta = options_.icp.delta;
-    while (options_.adaptive_delta &&
-           check.verdict == smt::SatResult::kDeltaSat &&
-           delta > options_.min_delta &&
-           numeric_lie(*synth.candidate, check.witness_point()) <
-               -options_.gamma) {
-      delta *= options_.delta_shrink;
-      check = check_decrease(*synth.candidate, delta);
-      ++result.timings.smt5_queries;
-    }
+    const smt::IcpResult check =
+        refine_decrease(*synth.candidate, &result.timings.smt5_queries);
     result.timings.smt5_time_s += seconds_since(t_smt);
 
     if (check.verdict == smt::SatResult::kUnknown) {

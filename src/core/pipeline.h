@@ -31,6 +31,7 @@
 
 #include <chrono>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -224,7 +225,26 @@ class BarrierPipeline {
   /// SMT condition (5): ∃x ∈ D\X0 : ∇W·f(x) ≥ −γ. UNSAT ⇒ valid
   /// generator. \p delta overrides the configured ICP precision when
   /// positive.
-  smt::IcpResult check_decrease(const Form& w, double delta = 0.0) const;
+  ///
+  /// \p resume, when set, is the `suspension` of this query's answer at
+  /// a larger δ (one ICP thread keeps one on every δ-SAT answer; see
+  /// src/smt/icp_solver.h). The solver then continues that depth-first
+  /// search where doing so is bit-identical to a fresh solve — same
+  /// verdict, witness bits, statistics, recorded trees and cache state
+  /// as `check_decrease(w, delta)` — and solves afresh otherwise.
+  smt::IcpResult check_decrease(
+      const Form& w, double delta = 0.0,
+      std::shared_ptr<smt::IcpSuspension> resume = nullptr) const;
+
+  /// Condition (5) under the pipeline's δ-refinement policy, the one the
+  /// candidate loop and check_certificate share: query at the configured
+  /// δ, then — with `adaptive_delta` on, while the answer is δ-SAT, its
+  /// witness is spurious (numeric ∇W·f below −γ) and δ is above
+  /// `min_delta` — re-query at δ·`delta_shrink`, each step resuming the
+  /// previous step's suspended search. Returns the last answer, its
+  /// suspension dropped; adds the number of queries made to \p queries
+  /// when non-null.
+  smt::IcpResult refine_decrease(const Form& w, int* queries = nullptr) const;
 
   /// Numeric ∇W·f(x) at a point (used to classify δ-SAT witnesses).
   double numeric_lie(const Form& w, const linalg::Vector& x) const;
@@ -246,7 +266,9 @@ class BarrierPipeline {
 
   /// Independent certificate checking: re-proves conditions (5), (6)
   /// and (7)/(7′) for a *given* candidate pair (W, ℓ) without any
-  /// synthesis. Returns kSafe only when all three queries are UNSAT.
+  /// synthesis — (5) under the same δ-refinement as the candidate loop
+  /// (refine_decrease), so every certificate run() accepts re-checks.
+  /// Returns kSafe only when all three queries are UNSAT.
   VerifyStatus check_certificate(const Form& w, double level) const;
 
   /// Writes the three SMT queries for the pair (W, ℓ) as SMT-LIB2

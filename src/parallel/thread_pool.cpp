@@ -27,7 +27,13 @@ ThreadPool::ThreadPool(std::size_t threads) {
 }
 
 ThreadPool::~ThreadPool() {
-  stop_.store(true, std::memory_order_release);
+  // Set stop_ under sleep_mutex_, like enqueue's pending_: a worker
+  // between its predicate check and blocking would otherwise miss the
+  // notify_all and sleep forever, hanging the join below.
+  {
+    std::lock_guard<std::mutex> lock(sleep_mutex_);
+    stop_.store(true, std::memory_order_release);
+  }
   wake_cv_.notify_all();
   for (std::thread& w : workers_) {
     if (w.joinable()) w.join();

@@ -44,6 +44,8 @@ struct Constraint {
   /// True when an enclosure \p v proves that *every* point of the box
   /// satisfies the constraint.
   bool certainly_satisfied(const interval::Interval& v) const;
+
+  friend bool operator==(const Constraint&, const Constraint&) = default;
 };
 
 /// Conjunction of atomic constraints (one ICP query).
@@ -57,6 +59,8 @@ struct Conjunction {
   void add(expr::ExprId lhs, Rel rel) { constraints.push_back({lhs, rel}); }
   std::size_t size() const { return constraints.size(); }
   bool empty() const { return constraints.empty(); }
+
+  friend bool operator==(const Conjunction&, const Conjunction&) = default;
 };
 
 /// Pool-independent 128-bit conjunction identity, the key of the
@@ -93,6 +97,8 @@ struct Dnf {
   Dnf conjoin(const Dnf& other) const;
 
   static Dnf single(Conjunction c) { return Dnf({std::move(c)}); }
+
+  friend bool operator==(const Dnf&, const Dnf&) = default;
 };
 
 }  // namespace bcert::smt

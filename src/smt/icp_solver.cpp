@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -75,6 +76,20 @@ struct SharedBudget {
     }
     return elapsed_s() <= time_limit_s;
   }
+
+  /// Claims \p boxes at once for a resumed search prefix (sequential
+  /// frontier only): true, and counted, exactly when a fresh search
+  /// would have admitted every one of them. The wall clock is not
+  /// charged — a prefix that is not re-run takes no time.
+  bool claim(std::uint64_t boxes) {
+    if (interrupt != nullptr && interrupt->cancelled()) return false;
+    if (mem != nullptr && mem->exhausted()) return false;
+    if (boxes_used.load(std::memory_order_relaxed) + boxes > max_boxes) {
+      return false;
+    }
+    boxes_used.fetch_add(boxes, std::memory_order_relaxed);
+    return true;
+  }
 };
 
 /// The pool a query's workers run on (the Engine's owned pool when the
@@ -107,6 +122,12 @@ struct SharedOutcome {
     cancel.cancel();
   }
 };
+
+/// Stops a query whose budget is spent: it reports kUnknown.
+void wind_down(SharedOutcome& outcome, parallel::CancellationToken& cancel) {
+  outcome.exhausted.store(true, std::memory_order_release);
+  cancel.cancel();
+}
 
 void merge_stats(IcpStats& into, const IcpStats& from) {
   into.boxes_processed += from.boxes_processed;
@@ -308,42 +329,64 @@ std::vector<WorkItem> replay_seed(const UnsatTree& seed, const Box& box,
   return out;
 }
 
-/// Per-conjunction-solve warm-start context: resolves the seed partition
-/// (or the cold single-box seed), owns the split-tree recorder, and
-/// publishes the recording when the query completed UNSAT.
+/// Per-conjunction-solve warm-start context: looks up the seed partition
+/// (the UNSAT-tree cache lookup happens on construction), owns the
+/// split-tree recorder, and publishes the recording when the query
+/// completed UNSAT.
 class QueryContext {
  public:
   QueryContext(const expr::ExprPool& pool, const Conjunction& c,
                const Box& box, const IcpConfig& config)
       : pool_(&pool), box_(box), config_(&config) {
-    if (box.is_empty()) return;  // no seeds: trivially UNSAT
-    if (config.warm_start && config.unsat_cache) {
-      rec_ = std::make_unique<TreeRecorder>(config.mem_budget);
-      // Hash the conjunction once; publish() reuses both signatures. The
-      // lossy shape hash keys the live LRU (organic cross-candidate
-      // seeding); the content-exact hash keys the persisted warm table,
-      // where only a byte-identical query may adopt a restored tree
-      // (verdict invariance — see UnsatTreeCache::WarmEntry).
-      signature_ = structural_signature(pool, c);
-      content_ = content_signature(pool, c);
-      // A tripped cache_lookup fault treats any cached seed as stale:
-      // the query cold-starts from the full box, exactly the stale-seed
-      // recovery path the UNSAT-tree cache already has.
-      if (core::FaultRegistry::trip(core::FaultPoint::kCacheLookup)) {
-        if (config.degrade != nullptr) {
-          config.degrade->cache_cold.fetch_add(1, std::memory_order_relaxed);
-        }
-      } else if (const auto seed =
-                     config.unsat_cache->find(pool, signature_, content_,
-                                              box)) {
-        seeds_ = replay_seed(*seed, box, rec_.get());
-        warm_ = seeds_.size() > 1;
+    if (box.is_empty() || !records()) return;
+    // Hash the conjunction once; publish() reuses both signatures. The
+    // lossy shape hash keys the live LRU (organic cross-candidate
+    // seeding); the content-exact hash keys the persisted warm table,
+    // where only a byte-identical query may adopt a restored tree
+    // (verdict invariance — see UnsatTreeCache::WarmEntry).
+    signature_ = structural_signature(pool, c);
+    content_ = content_signature(pool, c);
+    // A tripped cache_lookup fault treats any cached seed as stale: the
+    // query cold-starts from the full box, exactly the stale-seed
+    // recovery path the UNSAT-tree cache already has.
+    if (core::FaultRegistry::trip(core::FaultPoint::kCacheLookup)) {
+      if (config.degrade != nullptr) {
+        config.degrade->cache_cold.fetch_add(1, std::memory_order_relaxed);
       }
+    } else {
+      seed_ = config.unsat_cache->find(pool, signature_, content_, box);
     }
-    if (seeds_.empty()) seeds_.push_back({box, 0});
   }
 
-  std::vector<WorkItem> take_seeds() { return std::move(seeds_); }
+  /// Whether solves under this config record their split trees.
+  bool records() const {
+    return config_->warm_start && config_->unsat_cache != nullptr;
+  }
+
+  /// What the lookup returned (null: cold start).
+  const std::shared_ptr<const UnsatTree>& seed() const { return seed_; }
+
+  /// Starts a fresh search: a new recorder, and the seed's replayed
+  /// partition (or the cold single box) as the frontier. An empty box
+  /// has no seeds: trivially UNSAT.
+  std::vector<WorkItem> start() {
+    std::vector<WorkItem> seeds;
+    if (box_.is_empty()) return seeds;
+    if (records()) {
+      rec_ = std::make_unique<TreeRecorder>(config_->mem_budget);
+      if (seed_) {
+        seeds = replay_seed(*seed_, box_, rec_.get());
+        warm_ = seeds.size() > 1;
+      }
+    }
+    if (seeds.empty()) seeds.push_back({box_, 0});
+    return seeds;
+  }
+
+  /// Continues a suspended search instead: adopts its recorder.
+  void adopt(std::unique_ptr<TreeRecorder> rec) { rec_ = std::move(rec); }
+  std::unique_ptr<TreeRecorder> take_recorder() { return std::move(rec_); }
+
   TreeRecorder* recorder() { return rec_.get(); }
   bool warm_started() const { return warm_; }
 
@@ -370,27 +413,21 @@ class QueryContext {
   const IcpConfig* config_;
   std::uint64_t signature_ = 0;
   Sig128 content_;
+  std::shared_ptr<const UnsatTree> seed_;
   std::unique_ptr<TreeRecorder> rec_;
-  std::vector<WorkItem> seeds_;
   bool warm_ = false;
 };
 
-/// Contracts one popped work item, then settles it — prune / report SAT /
-/// report δ-SAT / split-and-record — leaving a split's children (left,
-/// right) in \p children. Returns false when a (δ-)SAT was reported and
-/// the caller must stop. One shared body keeps the sequential and
-/// parallel frontiers bit-identical per box.
-bool settle_item(WorkItem& it, Hc4Contractor& hc4, const IcpConfig& config,
-                 TreeRecorder* rec, SharedOutcome& outcome,
-                 parallel::CancellationToken& cancel, IcpStats& stats,
-                 std::optional<std::pair<WorkItem, WorkItem>>& children) {
+/// Settles a contracted, nonempty work item — report SAT / report δ-SAT /
+/// split-and-record — leaving a split's children (left, right) in
+/// \p children. Returns false when a (δ-)SAT was reported and the caller
+/// must stop. A resumed search re-settles its suspended witness here.
+bool settle_contracted(WorkItem& it, Hc4Contractor& hc4,
+                       const IcpConfig& config, TreeRecorder* rec,
+                       SharedOutcome& outcome,
+                       parallel::CancellationToken& cancel, IcpStats& stats,
+                       std::optional<std::pair<WorkItem, WorkItem>>& children) {
   children.reset();
-  const ContractResult contracted = hc4.contract_fixpoint(
-      it.box, config.hc4_passes, config.hc4_improvement);
-  if (contracted == ContractResult::kEmpty || it.box.is_empty()) {
-    ++stats.boxes_pruned;
-    return true;
-  }
   stats.max_depth_width = std::min(stats.max_depth_width, it.box.max_width());
 
   // True SAT: constraints certainly hold over the whole surviving box.
@@ -417,72 +454,147 @@ bool settle_item(WorkItem& it, Hc4Contractor& hc4, const IcpConfig& config,
   return true;
 }
 
+/// Contracts one popped work item, then prunes or settles it (above).
+/// One shared body keeps the sequential and parallel frontiers
+/// bit-identical per box.
+bool settle_item(WorkItem& it, Hc4Contractor& hc4, const IcpConfig& config,
+                 TreeRecorder* rec, SharedOutcome& outcome,
+                 parallel::CancellationToken& cancel, IcpStats& stats,
+                 std::optional<std::pair<WorkItem, WorkItem>>& children) {
+  children.reset();
+  const ContractResult contracted = hc4.contract_fixpoint(
+      it.box, config.hc4_passes, config.hc4_improvement);
+  if (contracted == ContractResult::kEmpty || it.box.is_empty()) {
+    ++stats.boxes_pruned;
+    return true;
+  }
+  return settle_contracted(it, hc4, config, rec, outcome, cancel, stats,
+                           children);
+}
+
+/// The sequential frontier's LIFO stack (back = deepest). Every resident
+/// box is charged to the job's memory budget — each WorkItem owns dims
+/// intervals, the dominant term of the search's memory; pops and the
+/// destructor give the charge back, so a suspended stack holds its
+/// charge until the suspension is resumed or dropped.
+class DfsStack {
+ public:
+  DfsStack(core::MemoryBudget* mem, std::size_t dims)
+      : mem_(mem), box_bytes_(dims * sizeof(Interval) + sizeof(WorkItem)) {}
+  DfsStack(const DfsStack&) = delete;
+  DfsStack& operator=(const DfsStack&) = delete;
+  ~DfsStack() { release(items_.size()); }
+
+  bool empty() const { return items_.empty(); }
+
+  /// Charges and pushes a fresh search's seeds in order (the last
+  /// surfaces first); false, pushing nothing, when the budget refuses.
+  bool push_seeds(std::vector<WorkItem> seeds) {
+    if (seeds.empty()) return true;
+    if (!charge(seeds.size())) return false;
+    items_ = std::move(seeds);
+    return true;
+  }
+
+  /// Charges and pushes a split's children, left then right, so the
+  /// right child surfaces first; false, pushing nothing, when the budget
+  /// refuses.
+  bool push_children(std::pair<WorkItem, WorkItem>& children) {
+    if (!charge(2)) return false;
+    items_.push_back(std::move(children.first));
+    items_.push_back(std::move(children.second));
+    return true;
+  }
+
+  WorkItem pop() {
+    WorkItem item = std::move(items_.back());
+    items_.pop_back();
+    release(1);
+    return item;
+  }
+
+ private:
+  bool charge(std::size_t boxes) {
+    return mem_ == nullptr || mem_->try_charge(boxes * box_bytes_);
+  }
+  void release(std::size_t boxes) {
+    if (mem_ != nullptr && boxes > 0) mem_->release(boxes * box_bytes_);
+  }
+
+  std::vector<WorkItem> items_;
+  core::MemoryBudget* mem_;
+  std::size_t box_bytes_;
+};
+
+/// One conjunction's sequential search: the stack, the statistics so far
+/// and, after a (δ-)SAT stop, the reported box's split-tree node.
+struct Dfs {
+  DfsStack stack;
+  IcpStats stats;
+  std::uint32_t witness_node = 0;
+
+  Dfs(core::MemoryBudget* mem, std::size_t dims, const IcpStats& prefix)
+      : stack(mem, dims), stats(prefix) {}
+};
+
+/// A fresh search over \p seeds, starting from the statistics \p stats.
+/// A refused memory charge for the seeds winds the query down before any
+/// box is processed.
+std::unique_ptr<Dfs> start_dfs(std::vector<WorkItem> seeds, const Box& box,
+                               const IcpStats& stats, const IcpConfig& config,
+                               SharedOutcome& outcome,
+                               parallel::CancellationToken& cancel) {
+  auto dfs = std::make_unique<Dfs>(config.mem_budget, box.size(), stats);
+  if (!dfs->stack.push_seeds(std::move(seeds))) wind_down(outcome, cancel);
+  return dfs;
+}
+
 /// Depth-first branch-and-prune over one conjunction, one box at a time
 /// (see the exploration-order contract in icp_solver.h). With a fresh
 /// budget/token this is exactly the sequential seed algorithm — same
-/// exploration order, same witness, same statistics.
-void solve_sequential(const ContractorSpec& spec, std::vector<WorkItem> seeds,
-                      const IcpConfig& config, TreeRecorder* rec,
-                      double root_width, SharedBudget& budget,
+/// exploration order, same witness, same statistics. Runs until the
+/// stack empties (UNSAT) or a (δ-)SAT answer, a spent budget (a refused
+/// memory charge included) or a cancellation stops it; a (δ-)SAT stop
+/// leaves the unexplored rest on the stack. \p resumed_witness, when
+/// set, is a suspended search's witness: contracted and counted at a
+/// larger δ, it is settled again at this δ before the stack is resumed.
+void solve_sequential(const ContractorSpec& spec, const IcpConfig& config,
+                      TreeRecorder* rec, SharedBudget& budget,
                       SharedOutcome& outcome,
-                      parallel::CancellationToken& cancel, IcpStats& stats) {
-  stats.max_depth_width = root_width;
-  if (seeds.empty()) return;
-  const std::size_t dims = seeds.front().box.size();
+                      parallel::CancellationToken& cancel, Dfs& dfs,
+                      WorkItem* resumed_witness = nullptr) {
+  if (dfs.stack.empty() && resumed_witness == nullptr) return;
   Hc4Contractor hc4 = spec.make();
-
-  // Resource governor: the DFS stack's growth is charged per box (the
-  // dominant term — each WorkItem owns dims intervals). A refused
-  // charge latches the budget's exhausted flag and the query winds down
-  // exactly like a spent box budget.
-  core::MemoryBudget* const mem = config.mem_budget;
-  const std::size_t box_bytes =
-      dims * sizeof(Interval) + sizeof(WorkItem);
-  const auto release_frontier = [&](std::size_t boxes) {
-    if (mem != nullptr && boxes > 0) mem->release(boxes * box_bytes);
-  };
-  const auto wind_down = [&] {
-    outcome.exhausted.store(true, std::memory_order_release);
-    cancel.cancel();
-  };
-
-  // DFS work stack (back = deepest): depth-first finds witnesses fast
-  // and keeps memory bounded by depth × dimension.
-  std::vector<WorkItem> work = std::move(seeds);
-  if (mem != nullptr && !mem->try_charge(work.size() * box_bytes)) {
-    wind_down();
-    return;
-  }
   std::optional<std::pair<WorkItem, WorkItem>> children;
 
-  while (!work.empty()) {
-    if (cancel.cancelled()) {
-      release_frontier(work.size());
+  if (resumed_witness != nullptr) {
+    if (!settle_contracted(*resumed_witness, hc4, config, rec, outcome,
+                           cancel, dfs.stats, children)) {
+      dfs.witness_node = resumed_witness->node;
+      return;  // still δ-SAT at this δ
+    }
+    if (!dfs.stack.push_children(*children)) {
+      wind_down(outcome, cancel);
       return;
     }
-    WorkItem item = std::move(work.back());
-    work.pop_back();
-    release_frontier(1);
+  }
+  while (!dfs.stack.empty()) {
+    if (cancel.cancelled()) return;
+    WorkItem item = dfs.stack.pop();
     if (!budget.admit_box()) {
-      release_frontier(work.size());
-      wind_down();
+      wind_down(outcome, cancel);
       return;
     }
-    ++stats.boxes_processed;
-    if (!settle_item(item, hc4, config, rec, outcome, cancel, stats,
+    ++dfs.stats.boxes_processed;
+    if (!settle_item(item, hc4, config, rec, outcome, cancel, dfs.stats,
                      children)) {
-      release_frontier(work.size());
+      dfs.witness_node = item.node;
       return;  // (δ-)SAT reported
     }
-    if (!children) continue;
-    if (mem != nullptr && !mem->try_charge(2 * box_bytes)) {
-      release_frontier(work.size());
-      wind_down();
+    if (children && !dfs.stack.push_children(*children)) {
+      wind_down(outcome, cancel);
       return;
     }
-    // Left then right: the right child surfaces first.
-    work.push_back(std::move(children->first));
-    work.push_back(std::move(children->second));
   }
 }
 
@@ -617,8 +729,7 @@ void solve_parallel(const ContractorSpec& spec, std::vector<WorkItem> seeds,
           frontier.in_flight.fetch_sub(1, std::memory_order_acq_rel);
           if (reported) return;
           if (exhausted) {
-            outcome.exhausted.store(true, std::memory_order_release);
-            cancel.cancel();
+            wind_down(outcome, cancel);
             return;
           }
         }
@@ -664,7 +775,71 @@ IcpResult finalize(SharedOutcome& outcome, SharedBudget& budget,
   return result;
 }
 
+/// Bitwise box equality (== would equate 0.0 and −0.0).
+bool same_bits(const Box& a, const Box& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(a[i].lo()) !=
+            std::bit_cast<std::uint64_t>(b[i].lo()) ||
+        std::bit_cast<std::uint64_t>(a[i].hi()) !=
+            std::bit_cast<std::uint64_t>(b[i].hi())) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Whether a δ-SAT answer may be suspended and later resumed
+/// bit-identically: only on the sequential frontier, with no fault armed
+/// (a skipped prefix would not advance the fault counters) and no
+/// memory quota (a suspension's held charge could refuse a charge that a
+/// fresh solve makes).
+bool suspendable(const IcpConfig& config, int threads) {
+  return threads <= 1 && !core::FaultRegistry::enabled() &&
+         (config.mem_budget == nullptr || config.mem_budget->quota() == 0);
+}
+
 }  // namespace
+
+/// A δ-SAT disjunct's suspended search (see icp_solver.h): the query it
+/// answered, the seed its frontier started from, and the search as the
+/// δ-SAT stop left it.
+struct IcpSuspension {
+  // The query a resume must repeat, at a δ no larger.
+  const expr::ExprPool* pool = nullptr;
+  Dnf dnf;
+  Box box;
+  double delta = 0.0;
+  int hc4_passes = 0;
+  double hc4_improvement = 0.0;
+  core::MemoryBudget* mem = nullptr;
+  std::size_t disjunct = 0;
+  /// What the disjunct's UNSAT-tree lookup returned. Held, so no other
+  /// tree can take its address while the suspension lives.
+  std::shared_ptr<const UnsatTree> seed;
+
+  // The search; `dfs` is null once a resume consumed it.
+  std::unique_ptr<TreeRecorder> rec;
+  std::unique_ptr<Dfs> dfs;
+  WorkItem witness;
+  std::uint32_t resumes = 0;
+
+  /// True when continuing this search answers \p q over \p b under
+  /// \p config exactly as a fresh solve would, up to the seed lookup and
+  /// the box budget, which the sweep checks when it reaches the disjunct.
+  bool matches(const expr::ExprPool& p, const Dnf& q, const Box& b,
+               const IcpConfig& config) const {
+    return dfs != nullptr && pool == &p && config.delta <= delta &&
+           config.hc4_passes == hc4_passes &&
+           config.hc4_improvement == hc4_improvement &&
+           config.mem_budget == mem &&
+           (rec != nullptr) ==
+               (config.warm_start && config.unsat_cache != nullptr) &&
+           same_bits(box, b) && dnf == q;
+  }
+};
+
+std::uint32_t resumed_steps(const IcpSuspension& s) { return s.resumes; }
 
 IcpResult IcpSolver::solve(const Conjunction& conjunction,
                            const interval::Box& box) const {
@@ -688,14 +863,15 @@ IcpResult IcpSolver::solve(const Conjunction& conjunction,
   const int threads = parallel::resolve_thread_count(config_.threads);
 
   QueryContext ctx(*pool_, conjunction, box, config_);
+  std::vector<WorkItem> seeds = ctx.start();
   if (ctx.warm_started()) ++stats.warm_starts;
-  std::vector<WorkItem> seeds = ctx.take_seeds();
 
   if (threads <= 1 || seeds.empty()) {
-    IcpStats seq_stats;
-    solve_sequential(spec, std::move(seeds), config_, ctx.recorder(),
-                     box.max_width(), budget, outcome, cancel, seq_stats);
-    merge_stats(stats, seq_stats);
+    const std::unique_ptr<Dfs> dfs =
+        start_dfs(std::move(seeds), box, stats, config_, outcome, cancel);
+    solve_sequential(spec, config_, ctx.recorder(), budget, outcome, cancel,
+                     *dfs);
+    stats = dfs->stats;
   } else {
     solve_parallel(spec, std::move(seeds), box.size(), config_, threads,
                    ctx.recorder(), box.max_width(), budget, outcome, cancel,
@@ -706,7 +882,8 @@ IcpResult IcpSolver::solve(const Conjunction& conjunction,
   return result;
 }
 
-IcpResult IcpSolver::solve(const Dnf& dnf, const interval::Box& box) const {
+IcpResult IcpSolver::solve(const Dnf& dnf, const interval::Box& box,
+                           std::shared_ptr<IcpSuspension> resume) const {
   // One budget for the whole DNF: a k-disjunct query previously received
   // k fresh budgets and could run k× over the configured limits.
   SharedBudget budget(config_);
@@ -757,10 +934,13 @@ IcpResult IcpSolver::solve(const Dnf& dnf, const interval::Box& box) const {
           // (O(nodes)) tape compilations ever run.
           const ContractorSpec spec(*pool_, dnf.disjuncts[i], config_);
           ctx.emplace(*pool_, dnf.disjuncts[i], box, config_);
+          std::vector<WorkItem> seeds = ctx->start();
           if (ctx->warm_started()) ++stats.warm_starts;
-          solve_sequential(spec, ctx->take_seeds(), config_, ctx->recorder(),
-                           box.max_width(), budget, outcomes[i], cancel,
-                           stats);
+          const std::unique_ptr<Dfs> dfs = start_dfs(
+              std::move(seeds), box, stats, config_, outcomes[i], cancel);
+          solve_sequential(spec, config_, ctx->recorder(), budget,
+                           outcomes[i], cancel, *dfs);
+          stats = dfs->stats;
           if (outcomes[i].exhausted.load(std::memory_order_acquire)) {
             dnf_outcome.exhausted.store(true, std::memory_order_release);
           }
@@ -808,9 +988,16 @@ IcpResult IcpSolver::solve(const Dnf& dnf, const interval::Box& box) const {
   }
 
   // Sequential disjunct sweep (seed semantics: first SAT short-circuits)
-  // under the shared budget.
+  // under the shared budget. On one thread a δ-SAT answer suspends its
+  // disjunct's search, and `resume` continues one (see icp_solver.h).
+  const bool suspend = suspendable(config_, threads);
+  if (resume != nullptr &&
+      !(suspend && resume->matches(*pool_, dnf, box, config_))) {
+    resume.reset();
+  }
   bool any_unknown = false;
-  for (const Conjunction& disjunct : dnf.disjuncts) {
+  for (std::size_t d = 0; d < k; ++d) {
+    const Conjunction& disjunct = dnf.disjuncts[d];
     SharedOutcome outcome;
     parallel::CancellationToken cancel;
     IcpStats stats;
@@ -827,25 +1014,56 @@ IcpResult IcpSolver::solve(const Dnf& dnf, const interval::Box& box) const {
     if (!box.is_empty()) {
       const ContractorSpec spec(*pool_, disjunct, config_);
       QueryContext ctx(*pool_, disjunct, box, config_);
-      if (ctx.warm_started()) ++stats.warm_starts;
-      if (threads > 1) {
-        solve_parallel(spec, ctx.take_seeds(), box.size(), config_, threads,
-                       ctx.recorder(), box.max_width(), budget, outcome,
-                       cancel, stats);
+      std::unique_ptr<Dfs> dfs;
+      WorkItem* resumed_witness = nullptr;
+      if (resume != nullptr && resume->disjunct == d &&
+          resume->seed == ctx.seed() &&
+          budget.claim(resume->dfs->stats.boxes_processed)) {
+        // The fresh search would repeat the suspended prefix box for box
+        // (one budget claim per processed box): continue it instead.
+        ctx.adopt(std::move(resume->rec));
+        dfs = std::move(resume->dfs);
+        resumed_witness = &resume->witness;
       } else {
-        IcpStats seq_stats;
-        solve_sequential(spec, ctx.take_seeds(), config_, ctx.recorder(),
-                         box.max_width(), budget, outcome, cancel, seq_stats);
-        merge_stats(stats, seq_stats);
+        std::vector<WorkItem> seeds = ctx.start();
+        if (ctx.warm_started()) ++stats.warm_starts;
+        if (threads > 1) {
+          solve_parallel(spec, std::move(seeds), box.size(), config_,
+                         threads, ctx.recorder(), box.max_width(), budget,
+                         outcome, cancel, stats);
+        } else {
+          dfs = start_dfs(std::move(seeds), box, stats, config_, outcome,
+                          cancel);
+        }
       }
-      {
-        std::lock_guard<std::mutex> lock(outcome.m);
-        const SatResult verdict =
-            outcome.sat_found ? outcome.sat_verdict
-            : outcome.exhausted.load(std::memory_order_acquire)
-                ? SatResult::kUnknown
-                : SatResult::kUnsat;
-        ctx.publish(verdict);
+      if (dfs != nullptr) {
+        solve_sequential(spec, config_, ctx.recorder(), budget, outcome,
+                         cancel, *dfs, resumed_witness);
+        stats = dfs->stats;
+      }
+      std::lock_guard<std::mutex> lock(outcome.m);
+      const SatResult verdict =
+          outcome.sat_found ? outcome.sat_verdict
+          : outcome.exhausted.load(std::memory_order_acquire)
+              ? SatResult::kUnknown
+              : SatResult::kUnsat;
+      ctx.publish(verdict);
+      if (verdict == SatResult::kDeltaSat && suspend) {
+        auto s = std::make_shared<IcpSuspension>();
+        s->pool = pool_;
+        s->dnf = dnf;
+        s->box = box;
+        s->delta = config_.delta;
+        s->hc4_passes = config_.hc4_passes;
+        s->hc4_improvement = config_.hc4_improvement;
+        s->mem = config_.mem_budget;
+        s->disjunct = d;
+        s->seed = ctx.seed();
+        s->rec = ctx.take_recorder();
+        s->witness = {outcome.sat_witness, dfs->witness_node};
+        s->dfs = std::move(dfs);
+        s->resumes = resumed_witness != nullptr ? resume->resumes + 1 : 0;
+        aggregate.suspension = std::move(s);
       }
     }
     merge_stats(aggregate.stats, stats);

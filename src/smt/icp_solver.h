@@ -54,6 +54,31 @@
 /// under any change of contraction granularity — which the callers'
 /// adaptive-δ handling already absorbs. A stale seed (box mismatch)
 /// silently cold-starts (see src/smt/unsat_tree.h).
+///
+/// Suspension and resume (δ-refinement): a caller that sees a spurious
+/// δ-SAT witness re-asks the same query at a smaller δ. A fresh search
+/// at δ' ≤ δ repeats the first search box for box up to the witness:
+/// every earlier box was pruned, or split because it was wider than
+/// δ ≥ δ'. So when the sequential DNF sweep (one ICP thread) answers
+/// δ-SAT, it keeps the rest of the disjunct's search in
+/// `IcpResult::suspension`: the DFS stack, the contracted witness box
+/// and its split-tree node, the split-tree recorder, the seed the
+/// UNSAT-tree lookup returned, and the disjunct's statistics and box
+/// claims so far. Passing it to `solve(dnf, box, resume)` re-solves the
+/// earlier (UNSAT) disjuncts as usual, still makes the suspended
+/// disjunct's tape and UNSAT-tree lookups (so every cache's contents,
+/// LRU order and counters evolve exactly as under a fresh solve), and
+/// then continues the kept stack — first splitting the witness box if
+/// it is wider than the new δ, else reporting it again. The verdict,
+/// witness, statistics (all but `solve_time_s`), recorded trees and
+/// cache state are bit-identical to a fresh solve at the new δ. The
+/// continuation runs only when the query (pool, disjuncts, box, HC4
+/// fixpoint settings, memory budget, recording on/off) is the same,
+/// the new δ is not larger, the lookup returned the same seed, and a
+/// fresh search would have admitted the skipped boxes under the box
+/// budget; anything else — and any query with more than one ICP
+/// thread, an armed fault point or a limited memory quota — solves
+/// afresh. The wall-clock budget is not charged for the skipped prefix.
 
 #include <chrono>
 #include <cstdint>
@@ -144,11 +169,28 @@ struct IcpStats {
   double max_depth_width = 0.0;  ///< smallest surviving box width seen
 };
 
+/// The rest of a δ-SAT disjunct's search (see the file comment). Opaque;
+/// it holds its DFS stack's and split tree's memory-budget charges
+/// until it is resumed or destroyed, and must not outlive the ExprPool,
+/// the caches or the memory budget of the query that produced it. A
+/// resume consumes it: it is not thread-safe, and a second resume of
+/// the same suspension solves afresh.
+struct IcpSuspension;
+
+/// δ-refinement steps \p s has been carried across: 0 when a fresh
+/// search produced it, k after k resumed queries.
+std::uint32_t resumed_steps(const IcpSuspension& s);
+
 /// Result of a query: verdict + witness (for SAT / δ-SAT) + stats.
 struct IcpResult {
   SatResult verdict = SatResult::kUnknown;
   std::optional<interval::Box> witness;  ///< surviving box when (δ-)SAT
   IcpStats stats;
+  /// Set on a δ-SAT answer of the sequential DNF sweep (one ICP thread,
+  /// no armed fault, no memory quota): the suspended search to hand to
+  /// the next `IcpSolver::solve(dnf, box, resume)` of the same query at
+  /// a smaller δ. Null otherwise. Drop it to free the search.
+  std::shared_ptr<IcpSuspension> suspension;
 
   bool is_sat() const {
     return verdict == SatResult::kSat || verdict == SatResult::kDeltaSat;
@@ -177,7 +219,13 @@ class IcpSolver {
   /// downgrades an otherwise-UNSAT answer to UNKNOWN. Stats accumulate
   /// across disjuncts (max_depth_width is the minimum seen anywhere) and
   /// the whole DNF shares one time/box budget.
-  IcpResult solve(const Dnf& dnf, const interval::Box& box) const;
+  ///
+  /// \p resume, when set, is the `suspension` of an earlier answer to
+  /// this query at a δ no smaller than this solver's: the search
+  /// continues from it where that is bit-identical to a fresh solve,
+  /// and solves afresh otherwise (see the file comment).
+  IcpResult solve(const Dnf& dnf, const interval::Box& box,
+                  std::shared_ptr<IcpSuspension> resume = nullptr) const;
 
  private:
   const expr::ExprPool* pool_;

@@ -1,5 +1,6 @@
 // Tests for the work-stealing ThreadPool and CancellationToken.
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <mutex>
 #include <stdexcept>
@@ -150,6 +151,22 @@ TEST(ThreadPool, NestedRunOnWorkersDoesNotDeadlock) {
     });
   });
   EXPECT_EQ(total.load(), 16);
+}
+
+TEST(ThreadPool, DestructionNeverStrandsAnIdleWorker) {
+  // The destructor's stop signal must reach a worker caught between its
+  // wait predicate and blocking; a lost wakeup hangs the join forever
+  // (the test's TIMEOUT then names it). Sweeping the destruction time
+  // across the worker's first wait hit that window in about half of the
+  // runs of this loop before the stop flag was set under the pool's
+  // sleep mutex.
+  for (int i = 0; i < 20000; ++i) {
+    ThreadPool pool(1);
+    const auto until = std::chrono::steady_clock::now() +
+                       std::chrono::nanoseconds((i * 997) % 60000);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  }
 }
 
 TEST(ThreadPool, GlobalPoolIsUsable) {
