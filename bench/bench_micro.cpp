@@ -1,9 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the substrate layers: interval
 // arithmetic, expression evaluation (scalar & interval), HC4 contraction,
 // NN forward passes, the LP solver, RK4 integration, and the
-// eigendecomposition used by CMA-ES — plus headline head-to-head
-// measurements (sequential vs parallel ICP, allocating vs zero-alloc
-// RK4) that are written to BENCH_micro.json.
+// eigendecomposition used by CMA-ES — plus headline measurements
+// (budget-bound ICP throughput, allocating vs zero-alloc RK4, ...) that
+// are written to BENCH_micro.json.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -251,29 +251,14 @@ void headline_icp(bench::JsonReport& report) {
       bench::env_int("BCERT_ICP_BOXES", 20000));
   config.time_limit_s = 300.0;
 
-  // Sequential baseline.
-  config.threads = 1;
   smt::IcpResult seq;
   const double seq_s = wall_of([&] {
     seq = smt::IcpSolver(pool, config).solve(c, box);
   });
   report.add({"icp_branch_and_prune_seq", seq_s,
               static_cast<double>(seq.stats.boxes_processed) / seq_s});
-
-  config.threads = static_cast<int>(parallel::default_thread_count());
-  smt::IcpResult par;
-  const double par_s = wall_of([&] {
-    par = smt::IcpSolver(pool, config).solve(c, box);
-  });
-  bench::BenchRecord r;
-  r.name = "icp_branch_and_prune_parallel";
-  r.wall_time_s = par_s;
-  r.boxes_per_sec = static_cast<double>(par.stats.boxes_processed) / par_s;
-  r.speedup = seq_s / par_s;
-  report.add(r);
-  std::printf("headline icp: sequential %.3fs, parallel %.3fs (%d threads, "
-              "%.2fx)\n",
-              seq_s, par_s, config.threads, r.speedup);
+  std::printf("headline icp: %.3fs, %.0f boxes/s\n", seq_s,
+              static_cast<double>(seq.stats.boxes_processed) / seq_s);
 }
 
 /// Warm-vs-cold ICP over a verifier-shaped candidate sequence: the same
@@ -312,7 +297,6 @@ void headline_icp_warm(bench::JsonReport& report) {
   config.delta = 1e-3;
   config.max_boxes = 50'000'000;
   config.time_limit_s = 600.0;
-  config.threads = 1;
 
   std::uint64_t cold_boxes = 0, warm_boxes = 0;
   std::uint32_t warm_hits = 0;

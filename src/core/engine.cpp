@@ -52,7 +52,6 @@ VerifyResult Engine::run_job(const BarrierProblem& problem,
 
     PipelineHooks hooks;
     hooks.cancel = cancel;
-    hooks.pool = &pool_;
     if (options.deadline_s > 0.0) {
       hooks.deadline =
           submitted + std::chrono::duration_cast<clock::duration>(

@@ -8,7 +8,8 @@
 /// scenarios it is asked to verify:
 ///
 ///  * a **thread pool** (`parallel::ThreadPool`) executing submitted
-///    jobs and the parallel ICP frontiers / DNF dispatch inside them;
+///    jobs, one whole job per worker (a job's ICP queries run on its
+///    worker's thread), plus the falsifier's simulation batches;
 ///  * a **tape cache** (`smt::TapeCache`): compiled HC4 bytecode reused
 ///    whenever scenarios share hash-consed conjunctions;
 ///  * an **UNSAT-tree cache** (`smt::UnsatTreeCache`): refutation

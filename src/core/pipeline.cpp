@@ -233,9 +233,6 @@ smt::IcpConfig BarrierPipeline<Form>::icp_config(double delta) const {
   smt::IcpConfig config = options_.icp;
   if (delta > 0.0) config.delta = delta;
   if (hooks_.cancel != nullptr) config.interrupt = hooks_.cancel;
-  if (hooks_.pool != nullptr && config.pool == nullptr) {
-    config.pool = hooks_.pool;
-  }
   if (hooks_.has_deadline) {
     const double remaining =
         std::chrono::duration<double>(hooks_.deadline - clock::now())

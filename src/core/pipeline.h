@@ -26,8 +26,9 @@
 ///
 /// `PipelineHooks` is how the Engine drives a pipeline run: cooperative
 /// cancellation, a deadline (both also interrupt long ICP queries via
-/// `IcpConfig::interrupt` / clamped time limits), progress callbacks, an
-/// owned thread pool, and the cross-scenario LP warm-basis slot.
+/// `IcpConfig::interrupt` / clamped time limits), progress callbacks, a
+/// memory budget, and the cross-scenario LP warm-basis slot. A run
+/// executes entirely on its caller's thread.
 
 #include <chrono>
 #include <functional>
@@ -42,7 +43,6 @@
 
 namespace bcert::parallel {
 class CancellationToken;
-class ThreadPool;
 }  // namespace bcert::parallel
 
 namespace bcert::core {
@@ -74,9 +74,6 @@ struct PipelineHooks {
   /// into every ICP query via IcpConfig::interrupt, so a cancel aborts
   /// even a long-running SMT check promptly. Result status: kCancelled.
   const parallel::CancellationToken* cancel = nullptr;
-  /// Pool for parallel ICP / DNF dispatch; null = the process-global
-  /// pool (IcpConfig::pool can still override per-query).
-  parallel::ThreadPool* pool = nullptr;
   /// Wall-clock deadline; each ICP query's time limit is clamped to the
   /// remaining budget. Result status: kDeadlineExceeded.
   std::chrono::steady_clock::time_point deadline{};
@@ -227,7 +224,7 @@ class BarrierPipeline {
   /// positive.
   ///
   /// \p resume, when set, is the `suspension` of this query's answer at
-  /// a larger δ (one ICP thread keeps one on every δ-SAT answer; see
+  /// a larger δ (the solver keeps one on every δ-SAT answer; see
   /// src/smt/icp_solver.h). The solver then continues that depth-first
   /// search where doing so is bit-identical to a fresh solve — same
   /// verdict, witness bits, statistics, recorded trees and cache state

@@ -2,9 +2,11 @@
 /// \file thread_pool.h
 /// \brief Work-stealing thread pool + cooperative cancellation.
 ///
-/// The two hot paths of the library — the branch-and-prune ICP solver and
-/// the simulation batches behind CMA-ES training / falsification — share
-/// this pool. Design points:
+/// The Engine runs whole verification jobs on this pool, one job per
+/// worker; the simulation batches behind CMA-ES training and
+/// falsification run on it too. ICP queries never use it: each query
+/// searches on its caller's thread, so a job's verdict cannot depend on
+/// the pool size or load. Design points:
 ///
 ///  * **Work stealing.** Each worker owns a deque guarded by its own
 ///    mutex. Owners pop from the front (FIFO for externally submitted
@@ -16,8 +18,8 @@
 ///    are safe to call from inside a worker (nested parallelism cannot
 ///    deadlock) and degrade gracefully on a 1-core machine.
 ///  * **Cancellation.** `CancellationToken` is a shared atomic flag that
-///    long-running tasks poll; the ICP solver uses it to short-circuit
-///    every worker the moment one of them finds a SAT box.
+///    long-running tasks poll; the Engine's per-job token interrupts the
+///    job's ICP queries (`IcpConfig::interrupt`) and simplex loops.
 ///  * **Determinism contract.** The pool never reorders *results*: all
 ///    deterministic callers (CMA-ES, falsifier) index their output slots
 ///    up front, so answers are byte-identical for any pool size.
@@ -61,7 +63,7 @@ std::size_t default_thread_count();
 /// Resolves a user-facing `threads` knob: values > 0 are taken verbatim,
 /// anything else (0 = "auto", negatives) falls back to
 /// default_thread_count(). All parallelism knobs in the library
-/// (IcpConfig::threads, FalsifierOptions::threads,
+/// (EngineOptions::threads, FalsifierOptions::threads,
 /// CmaesOptions::eval_threads, TrainOptions::threads) share these
 /// semantics.
 inline int resolve_thread_count(int requested) {
@@ -109,7 +111,7 @@ class ThreadPool {
 
   /// Process-wide shared pool, lazily constructed with
   /// default_thread_count() workers. Subsystems that want parallelism
-  /// without owning a pool (ICP, CMA-ES, falsifier) use this.
+  /// without owning a pool (CMA-ES, falsifier) use this.
   static ThreadPool& global();
 
  private:

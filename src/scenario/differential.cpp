@@ -200,7 +200,6 @@ DifferentialReport run_differential(const expr::ExprPool& pool,
   // Box-budget-bound, never wall-clock-bound: both backends must explore
   // the identical search tree regardless of machine load.
   base.time_limit_s = 1e9;
-  base.threads = 1;
   base.warm_start = false;
 
   smt::IcpConfig tape_config = base;

@@ -58,7 +58,7 @@ class Hc4Contractor {
                 Hc4Mode mode = Hc4Mode::kAuto);
 
   /// Shares an already-compiled tape (private register file only) — how
-  /// parallel ICP workers avoid recompiling the schedule per worker.
+  /// the ICP solver reuses a tape-cache entry without recompiling it.
   explicit Hc4Contractor(std::shared_ptr<const Hc4Tape> tape);
 
   /// Shares an already-compiled native jit (private register file only).

@@ -24,22 +24,15 @@
 ///    the right child is explored first;
 ///  * splits bisect the widest dimension, ties breaking to the *lowest*
 ///    dimension index (Box::widest_dim).
-/// The sequential solver is therefore deterministic: the same query,
-/// box, config and cache state give the same verdict, witness and
-/// statistics on every run and with every HC4 backend, unless the
-/// wall-clock budget fires.
+/// The solver is therefore deterministic: the same query, box, config
+/// and cache state give the same verdict, witness and statistics on
+/// every run and with every HC4 backend, unless the wall-clock budget
+/// fires.
 ///
-/// Parallel execution: with `IcpConfig::threads != 1` the box frontier is
-/// shared across pool workers (each owning its own HC4 contractor). A
-/// worker pops the deepest box of its own shard; an idle worker steals
-/// the shallowest (largest) box from the *front* of a victim shard. A
-/// worker that proves (δ-)SAT short-circuits the others through a
-/// cancellation token. UNSAT and UNKNOWN answers are identical to the
-/// sequential solver's; a SAT witness box may differ between runs (any
-/// surviving box is a valid witness — δ-decidability does not pin down
-/// which one is reported). DNF queries dispatch their disjuncts
-/// concurrently under one *shared* wall-clock/box budget, so a
-/// k-disjunct query can no longer run k× over the configured limits.
+/// Threading: a query runs entirely on the thread that calls `solve`,
+/// so its answer cannot depend on thread count or pool load. Multi-core
+/// throughput comes from running whole queries (Engine jobs) in
+/// parallel, each with its own contractor.
 ///
 /// UNSAT-tree warm-starting: when `IcpConfig::unsat_cache` is set (the
 /// verifiers install one) and warm starts are enabled, every refuted
@@ -59,15 +52,15 @@
 /// δ-SAT witness re-asks the same query at a smaller δ. A fresh search
 /// at δ' ≤ δ repeats the first search box for box up to the witness:
 /// every earlier box was pruned, or split because it was wider than
-/// δ ≥ δ'. So when the sequential DNF sweep (one ICP thread) answers
-/// δ-SAT, it keeps the rest of the disjunct's search in
-/// `IcpResult::suspension`: the DFS stack, the contracted witness box
-/// and its split-tree node, the split-tree recorder, the seed the
-/// UNSAT-tree lookup returned, and the disjunct's statistics and box
-/// claims so far. Passing it to `solve(dnf, box, resume)` re-solves the
-/// earlier (UNSAT) disjuncts as usual, still makes the suspended
-/// disjunct's tape and UNSAT-tree lookups (so every cache's contents,
-/// LRU order and counters evolve exactly as under a fresh solve), and
+/// δ ≥ δ'. So when the DNF sweep answers δ-SAT, it keeps the rest of
+/// the disjunct's search in `IcpResult::suspension`: the DFS stack, the
+/// contracted witness box and its split-tree node, the split-tree
+/// recorder, the seed the UNSAT-tree lookup returned, and the
+/// disjunct's statistics and box claims so far. Passing it to
+/// `solve(dnf, box, resume)` re-solves the earlier (UNSAT) disjuncts as
+/// usual, still makes the suspended disjunct's tape and UNSAT-tree
+/// lookups (so every cache's contents, LRU order and counters evolve
+/// exactly as under a fresh solve), and
 /// then continues the kept stack — first splitting the witness box if
 /// it is wider than the new δ, else reporting it again. The verdict,
 /// witness, statistics (all but `solve_time_s`), recorded trees and
@@ -76,9 +69,9 @@
 /// fixpoint settings, memory budget, recording on/off) is the same,
 /// the new δ is not larger, the lookup returned the same seed, and a
 /// fresh search would have admitted the skipped boxes under the box
-/// budget; anything else — and any query with more than one ICP
-/// thread, an armed fault point or a limited memory quota — solves
-/// afresh. The wall-clock budget is not charged for the skipped prefix.
+/// budget; anything else — and any query with an armed fault point or
+/// a limited memory quota — solves afresh. The wall-clock budget is not
+/// charged for the skipped prefix.
 
 #include <chrono>
 #include <cstdint>
@@ -94,7 +87,6 @@
 
 namespace bcert::parallel {
 class CancellationToken;
-class ThreadPool;
 }  // namespace bcert::parallel
 
 namespace bcert::smt {
@@ -111,14 +103,12 @@ struct IcpConfig {
   double time_limit_s = 300.0;  ///< wall-clock budget (per query)
   int hc4_passes = 8;           ///< contraction passes per box
   double hc4_improvement = 0.05;  ///< fixpoint threshold (relative)
-  /// Branch-and-prune parallelism: 0 = auto (BCERT_THREADS / hardware),
-  /// 1 = sequential (bit-identical to the classic solver), N = N workers.
+  /// Ignored: every query searches on its caller's thread (see the file
+  /// comment). Deprecated; the field goes once no caller assigns it.
   int threads = 0;
   /// HC4 backend: kAuto honors BCERT_HC4_MODE (default: native jit,
   /// compiled tape where the build has no native backend). With the jit
-  /// and tape backends the conjunction is compiled once per query and
-  /// shared read-only by all workers, each holding only a private
-  /// interval register file.
+  /// and tape backends each conjunction is compiled once per query.
   Hc4Mode hc4_mode = Hc4Mode::kAuto;
   /// Optional cross-query tape cache (multi-query ICP): when set,
   /// compiled tapes (and the native code emitted from them) are reused
@@ -134,10 +124,6 @@ struct IcpConfig {
   /// Cross-query store of terminal UNSAT box trees (`BarrierPipeline`
   /// installs one per run). Must not outlive the ExprPool.
   std::shared_ptr<UnsatTreeCache> unsat_cache;
-  /// Pool the parallel frontier and concurrent DNF dispatch run on;
-  /// null = the process-global pool. The Engine points this at its
-  /// owned pool so campaigns share one set of workers.
-  parallel::ThreadPool* pool = nullptr;
   /// Optional external interrupt, polled cooperatively: once it fires
   /// the query stops admitting boxes and returns kUnknown promptly,
   /// exactly like an exhausted budget. The Engine wires its per-job
@@ -186,8 +172,8 @@ struct IcpResult {
   SatResult verdict = SatResult::kUnknown;
   std::optional<interval::Box> witness;  ///< surviving box when (δ-)SAT
   IcpStats stats;
-  /// Set on a δ-SAT answer of the sequential DNF sweep (one ICP thread,
-  /// no armed fault, no memory quota): the suspended search to hand to
+  /// Set on a δ-SAT answer of the DNF sweep (no armed fault, no memory
+  /// quota): the suspended search to hand to
   /// the next `IcpSolver::solve(dnf, box, resume)` of the same query at
   /// a smaller δ. Null otherwise. Drop it to free the search.
   std::shared_ptr<IcpSuspension> suspension;

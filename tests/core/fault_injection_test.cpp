@@ -55,7 +55,7 @@ class ScopedActiveConfig {
 };
 
 /// Analytic workload (matches tests/engine_test.cpp): ẋ = −x decays to
-/// the origin and the whole pipeline is deterministic at threads = 1.
+/// the origin and the whole pipeline is deterministic.
 BarrierProblem linear_problem(expr::ExprPool& pool) {
   BarrierProblem p;
   p.pool = &pool;
@@ -64,12 +64,6 @@ BarrierProblem linear_problem(expr::ExprPool& pool) {
   p.initial_set = {{-0.5, -0.5}, {0.5, 0.5}};
   p.safe_rect = {{-2.0, -2.0}, {2.0, 2.0}};
   return p;
-}
-
-JobOptions deterministic_options() {
-  JobOptions opts;
-  opts.verify.icp.threads = 1;
-  return opts;
 }
 
 EngineOptions serial_engine() {
@@ -227,8 +221,7 @@ TEST(SimplexInterrupt, LpSolveFaultBecomesTypedJobError) {
   expr::ExprPool pool;
   Engine engine(serial_engine());
   ScopedFaultSpec spec("lp_solve:throw@1");
-  const VerifyResult r =
-      engine.verify(linear_problem(pool), deterministic_options());
+  const VerifyResult r = engine.verify(linear_problem(pool));
   EXPECT_EQ(r.status, VerifyStatus::kInternalError);
   EXPECT_EQ(r.error.code, ErrorCode::kFaultInjected);
   EXPECT_TRUE(r.error.retryable());
@@ -252,8 +245,7 @@ TEST(DegradationLadder, TapeFaultMatchesTreeModeBitIdentical) {
   {
     ScopedActiveConfig guard(tree);
     Engine engine(serial_engine());
-    tree_result =
-        engine.verify(linear_problem(pool_a), deterministic_options());
+    tree_result = engine.verify(linear_problem(pool_a));
   }
   ASSERT_TRUE(tree_result.safe()) << verify_status_name(tree_result.status);
   EXPECT_EQ(tree_result.degradation.tape_to_tree, 0u);
@@ -264,7 +256,7 @@ TEST(DegradationLadder, TapeFaultMatchesTreeModeBitIdentical) {
     ScopedActiveConfig guard(tape);
     ScopedFaultSpec spec("tape_compile:throw");  // every compile fails
     Engine engine(serial_engine());
-    faulted = engine.verify(linear_problem(pool_b), deterministic_options());
+    faulted = engine.verify(linear_problem(pool_b));
   }
   expect_bit_identical(tree_result, faulted);
   EXPECT_GT(faulted.degradation.tape_to_tree, 0u);
@@ -287,8 +279,7 @@ TEST(DegradationLadder, TapeFaultUnderDefaultBackendIsOneTreeRung) {
   {
     ScopedActiveConfig guard(tree);
     Engine engine(serial_engine());
-    tree_result =
-        engine.verify(linear_problem(pool_a), deterministic_options());
+    tree_result = engine.verify(linear_problem(pool_a));
   }
   ASSERT_TRUE(tree_result.safe()) << verify_status_name(tree_result.status);
 
@@ -298,7 +289,7 @@ TEST(DegradationLadder, TapeFaultUnderDefaultBackendIsOneTreeRung) {
     ScopedActiveConfig guard(defaults);
     ScopedFaultSpec spec("tape_compile:throw");  // every compile fails
     Engine engine(serial_engine());
-    faulted = engine.verify(linear_problem(pool_b), deterministic_options());
+    faulted = engine.verify(linear_problem(pool_b));
   }
   expect_bit_identical(tree_result, faulted);
   EXPECT_GT(faulted.degradation.tape_to_tree, 0u);
@@ -317,15 +308,13 @@ TEST(DegradationLadder, JitFaultReusesTheFetchedTape) {
 
   expr::ExprPool pool_a;
   Engine clean(serial_engine());
-  const VerifyResult baseline =
-      clean.verify(linear_problem(pool_a), deterministic_options());
+  const VerifyResult baseline = clean.verify(linear_problem(pool_a));
   ASSERT_TRUE(baseline.safe()) << verify_status_name(baseline.status);
 
   expr::ExprPool pool_b;
   Engine engine(serial_engine());
   ScopedFaultSpec spec("jit_compile:throw");  // every emission fails
-  const VerifyResult faulted =
-      engine.verify(linear_problem(pool_b), deterministic_options());
+  const VerifyResult faulted = engine.verify(linear_problem(pool_b));
   expect_bit_identical(baseline, faulted);
   EXPECT_EQ(faulted.degradation.tape_to_tree, 0u);
   if (smt::resolve_hc4_mode(smt::Hc4Mode::kAuto) == smt::Hc4Mode::kJit) {
@@ -349,16 +338,15 @@ TEST(DegradationLadder, CacheTripColdStartsBitIdentical) {
 
   expr::ExprPool pool_a;
   Engine fresh(serial_engine());
-  const VerifyResult baseline =
-      fresh.verify(linear_problem(pool_a), deterministic_options());
+  const VerifyResult baseline = fresh.verify(linear_problem(pool_a));
   ASSERT_TRUE(baseline.safe()) << verify_status_name(baseline.status);
 
   expr::ExprPool pool_b;
   Engine engine(serial_engine());
   const BarrierProblem problem = linear_problem(pool_b);
   ScopedFaultSpec spec("cache_lookup:throw");  // every probe trips
-  const VerifyResult first = engine.verify(problem, deterministic_options());
-  const VerifyResult second = engine.verify(problem, deterministic_options());
+  const VerifyResult first = engine.verify(problem);
+  const VerifyResult second = engine.verify(problem);
   expect_bit_identical(baseline, first);
   expect_bit_identical(baseline, second);
   EXPECT_GT(second.degradation.cache_cold, 0u);
@@ -367,7 +355,7 @@ TEST(DegradationLadder, CacheTripColdStartsBitIdentical) {
 TEST(ResourceGovernor, TinyQuotaYieldsTypedResourceExhausted) {
   expr::ExprPool pool;
   Engine engine(serial_engine());
-  JobOptions opts = deterministic_options();
+  JobOptions opts;
   opts.mem_quota_bytes = 1;  // first frontier charge already fails
   const VerifyResult r = engine.verify(linear_problem(pool), opts);
   EXPECT_EQ(r.status, VerifyStatus::kResourceExhausted)
@@ -389,7 +377,7 @@ TEST(Campaign, RetriesTransientFaultsAndKeepsCleanScenariosIdentical) {
   ScopedActiveConfig config_guard(clean_config);
 
   constexpr std::size_t kScenarios = 8;
-  const JobOptions opts = deterministic_options();
+  const JobOptions opts{};
 
   expr::ExprPool pool_a;
   std::vector<Scenario> scenarios_a;
@@ -447,7 +435,7 @@ TEST(Campaign, PersistentFailuresAreQuarantinedWithPartialResults) {
                          linear_problem(pool)});
   }
   Engine engine(serial_engine());
-  JobOptions opts = deterministic_options();
+  JobOptions opts;
   opts.retry.max_retries = 1;
   opts.retry.backoff_s = 0.001;
   ScopedFaultSpec spec("worker_dispatch:throw@every:1");  // every attempt
@@ -481,7 +469,7 @@ TEST(Campaign, WatchdogFlagsStuckWorkerAndCompletes) {
   const std::vector<Scenario> scenarios = {
       {"stuck", linear_problem(pool)}};
   Engine engine(serial_engine());
-  JobOptions opts = deterministic_options();
+  JobOptions opts;
   opts.deadline_s = 0.05;
   opts.stuck_grace_s = 0.05;
   // The dispatch stalls far past deadline + 2×grace and never polls the

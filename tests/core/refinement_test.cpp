@@ -53,7 +53,7 @@ void expect_identical(const smt::IcpResult& a, const smt::IcpResult& b,
 }
 
 /// One of two identically built pipelines over a generated zoo scenario
-/// (own pool, own per-run caches), at one ICP thread.
+/// (own pool, own per-run caches).
 struct TwinPipeline {
   expr::ExprPool pool;
   Scenario scenario;
@@ -65,9 +65,7 @@ struct TwinPipeline {
         pipeline(scenario.problem, options()) {}
 
   static VerifierOptions options() {
-    VerifierOptions options = scenario::zoo_job_defaults().verify;
-    options.icp.threads = 1;
-    return options;
+    return scenario::zoo_job_defaults().verify;
   }
 };
 
@@ -151,10 +149,9 @@ TEST(Refinement, CheckCertificateReprovesACertificateAcceptedAfterRefinement) {
   constexpr double kLevel = 0.34512998769857761;
   const linalg::Vector coeffs{1.0, 0.74604838226128889, 0.70250646657998983};
 
-  // The plain reference configuration: one ICP thread, tree HC4, no
-  // caches, no warm start.
+  // The plain reference configuration: tree HC4, no caches, no warm
+  // start.
   VerifierOptions reference = scenario::zoo_job_defaults().verify;
-  reference.icp.threads = 1;
   reference.icp.hc4_mode = smt::Hc4Mode::kTree;
   reference.icp.warm_start = false;
   reference.icp.tape_cache = nullptr;

@@ -6,7 +6,10 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <map>
+#include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +17,7 @@
 #include "src/core/pipeline.h"
 #include "src/dubins/error_dynamics.h"
 #include "src/dubins/training.h"
+#include "src/scenario/generator.h"
 
 namespace bcert::core {
 namespace {
@@ -37,7 +41,7 @@ BarrierProblem dubins_problem(expr::ExprPool& pool,
 
 /// Analytic workload: ẋ = −x decays to the origin, the first LP
 /// candidate is already a valid generator, and the whole pipeline is
-/// deterministic at threads = 1 (no SAT witnesses ever enter the loop).
+/// deterministic (no SAT witnesses ever enter the loop).
 BarrierProblem linear_problem(expr::ExprPool& pool) {
   BarrierProblem p;
   p.pool = &pool;
@@ -46,14 +50,6 @@ BarrierProblem linear_problem(expr::ExprPool& pool) {
   p.initial_set = {{-0.5, -0.5}, {0.5, 0.5}};
   p.safe_rect = {{-2.0, -2.0}, {2.0, 2.0}};
   return p;
-}
-
-/// Deterministic options (sequential ICP; parallel SAT-witness selection
-/// is allowed to differ between runs by contract).
-JobOptions deterministic_options() {
-  JobOptions opts;
-  opts.verify.icp.threads = 1;
-  return opts;
 }
 
 void expect_bit_identical(const VerifyResult& a, const VerifyResult& b) {
@@ -90,7 +86,7 @@ TEST(Engine, SingleJobBitIdenticalToBarePipeline) {
       dubins::distill_controller(dubins::proportional_teacher(), 10, 42);
 
   expr::ExprPool pool_bare;
-  const JobOptions opts = deterministic_options();
+  const JobOptions opts{};
   const VerifyResult bare_result = BarrierPipeline<QuadraticForm>(
       dubins_problem(pool_bare, controller), opts.verify).run();
 
@@ -105,7 +101,7 @@ TEST(Engine, SingleJobBitIdenticalToBarePipeline) {
 }
 
 TEST(Engine, PolynomialJobBitIdenticalToBarePipeline) {
-  JobOptions opts = deterministic_options();
+  JobOptions opts;
   opts.certificate = TemplateSpec::polynomial(2);
 
   expr::ExprPool pool_bare;
@@ -141,7 +137,7 @@ TEST(Engine, CampaignSharesCachesAcrossScenarios) {
   EngineOptions eo;
   eo.share_lp_basis = false;
   Engine engine(eo);
-  const JobOptions opts = deterministic_options();
+  const JobOptions opts{};
 
   // One shared pool: identical scenarios hash-cons to identical
   // ExprIds, so even the tape cache (which keys on expression identity,
@@ -190,8 +186,7 @@ TEST(Engine, CampaignSharesCachesAcrossScenarios) {
 TEST(Engine, SubmitRunsAsynchronouslyOnEnginePool) {
   expr::ExprPool pool;
   Engine engine;
-  JobHandle handle = engine.submit(linear_problem(pool),
-                                   deterministic_options());
+  JobHandle handle = engine.submit(linear_problem(pool));
   ASSERT_TRUE(handle.valid());
   const VerifyResult result = handle.get();
   EXPECT_TRUE(handle.done());
@@ -204,7 +199,7 @@ TEST(Engine, ProgressCallbackSeesAllPhases) {
   Engine engine;
   std::mutex m;
   std::vector<JobPhase> phases;
-  JobOptions opts = deterministic_options();
+  JobOptions opts;
   opts.on_progress = [&](const JobProgress& p) {
     std::lock_guard<std::mutex> lock(m);
     phases.push_back(p.phase);
@@ -227,7 +222,7 @@ TEST(Engine, ProgressCallbackSeesAllPhases) {
 /// decrease query is SAT every round, so the CEX loop would grind
 /// through max_candidate_iterations (set absurdly high) forever.
 JobOptions endless_candidate_loop_options() {
-  JobOptions opts = deterministic_options();
+  JobOptions opts;
   opts.verify.gamma = 50.0;  // lie ≥ −16 on the domain ⇒ always SAT
   opts.verify.adaptive_delta = false;
   opts.verify.max_candidate_iterations = 1'000'000;
@@ -258,8 +253,7 @@ TEST(Engine, CancellationStopsJobMidCandidateLoop) {
   // No leaked pool tasks: the pool immediately accepts and completes
   // further work, and Engine destruction (scope exit) does not hang.
   expr::ExprPool pool2;
-  const VerifyResult next =
-      engine.verify(linear_problem(pool2), deterministic_options());
+  const VerifyResult next = engine.verify(linear_problem(pool2));
   EXPECT_TRUE(next.safe());
 }
 
@@ -286,8 +280,7 @@ TEST(Engine, RunCampaignReportsPerScenarioAndAggregate) {
   scenarios.push_back({"repeat", linear_problem(pool)});
 
   const CampaignResult campaign =
-      engine.run_campaign(std::span<const Scenario>(scenarios),
-                          deterministic_options());
+      engine.run_campaign(std::span<const Scenario>(scenarios));
 
   ASSERT_EQ(campaign.scenarios.size(), 2u);
   EXPECT_EQ(campaign.scenarios[0].name, "nominal");
@@ -322,7 +315,7 @@ TEST(Engine, DestructionWaitsForAbandonedSubmittedJobs) {
   expr::ExprPool pool;
   {
     Engine engine;
-    (void)engine.submit(linear_problem(pool), deterministic_options());
+    (void)engine.submit(linear_problem(pool));
     // ~Engine here, with the job possibly still queued.
   }
   SUCCEED();
@@ -343,10 +336,73 @@ TEST(Engine, CampaignJsonEscapesScenarioNames) {
   std::vector<Scenario> scenarios;
   scenarios.push_back({"quote\"back\\slash", linear_problem(pool)});
   const CampaignResult campaign = engine.run_campaign(
-      std::span<const Scenario>(scenarios), deterministic_options());
+      std::span<const Scenario>(scenarios));
   const std::string json = campaign.to_json();
   EXPECT_NE(json.find("quote\\\"back\\\\slash"), std::string::npos);
   EXPECT_EQ(json.find("quote\"back"), std::string::npos);
+}
+
+// Every campaign job runs start to finish on one Engine worker: no job
+// may start on a thread while another job is still open there. (A wait
+// inside one job that runs another job stretches both, drains their
+// wall-clock budgets and couples their results.) A job is open on its
+// thread from its first progress event to its last, so a nested job
+// shows up as one job's events inside another job's span.
+TEST(Engine, CampaignJobsNeverNest) {
+  constexpr std::size_t kScenarios = 8;
+  scenario::GeneratorConfig config;
+  config.seed = 1;
+  config.count = kScenarios;
+  config.jitter_templates = true;
+  // One pool per scenario: concurrent jobs must not share an ExprPool.
+  std::vector<expr::ExprPool> pools(kScenarios);
+  std::vector<Scenario> scenarios;
+  for (std::size_t i = 0; i < kScenarios; ++i) {
+    scenarios.push_back(
+        scenario::ScenarioGenerator(pools[i], config).generate_one(i));
+  }
+
+  struct Event {
+    std::thread::id tid;
+    std::size_t job;
+  };
+  std::mutex events_mutex;
+  std::vector<Event> events;  // in the order they happened
+  Engine engine({.threads = 4});
+  std::vector<JobHandle> handles;
+  for (std::size_t i = 0; i < kScenarios; ++i) {
+    JobOptions job = scenario::zoo_job_defaults();
+    if (scenarios[i].certificate) job.certificate = *scenarios[i].certificate;
+    job.on_progress = [&events_mutex, &events, i](const JobProgress&) {
+      std::lock_guard<std::mutex> lock(events_mutex);
+      events.push_back({std::this_thread::get_id(), i});
+    };
+    handles.push_back(engine.submit(scenarios[i].problem, job));
+  }
+  for (const JobHandle& handle : handles) {
+    EXPECT_TRUE(handle.get().error.ok());
+  }
+
+  // Per thread, each job's span [first, last] in event order.
+  std::map<std::thread::id,
+           std::map<std::size_t, std::pair<std::size_t, std::size_t>>>
+      spans;
+  for (std::size_t k = 0; k < events.size(); ++k) {
+    const auto it =
+        spans[events[k].tid].try_emplace(events[k].job, k, k).first;
+    it->second.second = k;
+  }
+  std::size_t jobs_seen = 0;
+  for (const auto& [tid, jobs] : spans) {
+    jobs_seen += jobs.size();
+    for (const auto& [outer, o] : jobs) {
+      for (const auto& [inner, n] : jobs) {
+        EXPECT_FALSE(o.first < n.first && n.first < o.second)
+            << "job " << inner << " started inside job " << outer;
+      }
+    }
+  }
+  EXPECT_EQ(jobs_seen, kScenarios);  // each job ran on exactly one thread
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/fault.h"
+#include "src/core/runtime_config.h"
 #include "src/expr/expr.h"
 #include "src/interval/box.h"
 #include "src/smt/hc4.h"
@@ -375,12 +376,17 @@ ExprId front_root(const TapeCache& cache) {
 /// tape to the front of the snapshot's most-recently-used order.
 TEST(Hc4JitDiff, JitHitCountsOneTapeStoreHit) {
   if (!jit_supported()) GTEST_SKIP() << "no native backend on this host";
+  // An armed cache_lookup fault legitimately bypasses the cache; the
+  // counters this test pins would then undercount by design.
+  core::RuntimeConfig::active();  // installs any BCERT_FAULT spec
+  if (core::FaultRegistry::enabled()) {
+    GTEST_SKIP() << "fault injection armed: cache stats not stable";
+  }
   ExprPool pool;
   const std::vector<Conjunction> qs = distinct_conjunctions(pool, 2);
   auto cache = std::make_shared<TapeCache>();
   IcpConfig config;
   config.delta = 1e-2;
-  config.threads = 1;
   config.hc4_mode = Hc4Mode::kJit;
   config.tape_cache = cache;
   const IcpSolver solver(pool, config);
@@ -456,7 +462,6 @@ TEST(Hc4JitDiff, JitCompileFaultDegradesToTape) {
   core::DegradationCounters counters;
   IcpConfig config;
   config.delta = 1e-2;
-  config.threads = 1;
   config.hc4_mode = Hc4Mode::kJit;
   config.degrade = &counters;
   const IcpSolver solver(pool, config);
@@ -517,7 +522,6 @@ TEST(Hc4JitDiff, SolverJitVsTapeEquivalenceSweep) {
   tape_cfg.delta = 1e-2;
   tape_cfg.max_boxes = 500'000;
   tape_cfg.time_limit_s = 60.0;
-  tape_cfg.threads = 1;
   tape_cfg.hc4_mode = Hc4Mode::kTape;
   IcpConfig jit_cfg = tape_cfg;
   jit_cfg.hc4_mode = Hc4Mode::kJit;

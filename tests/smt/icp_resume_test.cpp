@@ -1,11 +1,11 @@
-// δ-refinement resume tests: a δ-SAT answer of the sequential DNF sweep
-// keeps the rest of its depth-first search, and re-asking the same query
-// at a smaller δ continues it. Every resumed step must be bit-identical
-// to a fresh solve on an identically built twin (pool and caches):
-// verdict, witness bits, statistics, published trees and cache
-// counters. The fallbacks (changed seed, other box, larger δ, several
-// threads, armed faults, memory quota) solve afresh, and every memory
-// charge a suspension holds returns when it ends or is dropped.
+// δ-refinement resume tests: a δ-SAT answer of the DNF sweep keeps the
+// rest of its depth-first search, and re-asking the same query at a
+// smaller δ continues it. Every resumed step must be bit-identical to a
+// fresh solve on an identically built twin (pool and caches): verdict,
+// witness bits, statistics, published trees and cache counters. The
+// fallbacks (changed seed, other box, larger δ, armed faults, memory
+// quota) solve afresh, and every memory charge a suspension holds
+// returns when it ends or is dropped.
 #include <algorithm>
 #include <bit>
 #include <cstdint>
@@ -99,7 +99,6 @@ struct Twin {
     config.delta = delta;
     config.max_boxes = 5'000'000;
     config.time_limit_s = 300.0;
-    config.threads = 1;
     config.tape_cache = tapes;
     config.unsat_cache = trees;
     return config;
@@ -307,24 +306,6 @@ TEST(IcpResume, OtherBoxOrLargerDeltaSolvesAfresh) {
   ASSERT_NE(twice.suspension, nullptr);
   EXPECT_EQ(resumed_steps(*twice.suspension), 0u);
   EXPECT_EQ(twice.verdict, once.verdict);
-}
-
-TEST(IcpResume, SeveralThreadsNeverSuspend) {
-  if (faults_armed()) GTEST_SKIP() << "fault injection armed: no resume";
-  Twin twin(surviving_query);
-  IcpResult r = twin.solve(kDelta0);
-  ASSERT_NE(r.suspension, nullptr);
-  IcpConfig config = twin.config(kDelta0 * 0.25);
-  config.threads = 2;
-  // Both DNF paths: the per-disjunct parallel frontier (2 disjuncts,
-  // 2 threads → concurrent dispatch) and the sweep (3 threads).
-  for (const int threads : {2, 3}) {
-    config.threads = threads;
-    const IcpResult p = IcpSolver(twin.pool, config)
-                            .solve(twin.query, search_box(), r.suspension);
-    EXPECT_EQ(p.verdict, SatResult::kDeltaSat);
-    EXPECT_EQ(p.suspension, nullptr);
-  }
 }
 
 TEST(IcpResume, BoxBudgetFiresInsideTheContinuation) {

@@ -60,7 +60,6 @@ IcpConfig warm_config(std::shared_ptr<UnsatTreeCache> cache) {
   config.delta = 1e-3;
   config.max_boxes = 2'000'000;
   config.time_limit_s = 120.0;
-  config.threads = 1;
   config.unsat_cache = std::move(cache);
   return config;
 }

@@ -348,7 +348,6 @@ TEST(Icp, SequentialIsDeterministic) {
 
   IcpSolver solver(p);
   solver.config().delta = 1e-2;
-  solver.config().threads = 1;
   const Box box = Box::from_bounds({{-2.0, 2.0}, {-2.0, 2.0}});
   const IcpResult a = solver.solve(c, box);
   const IcpResult b = solver.solve(c, box);
